@@ -1,5 +1,7 @@
 """Static ergodicity verifier for stochastic mass-action reaction networks."""
 
+__version__ = "0.1.0"  # before the submodule imports: report reads it
+
 from .drift import (
     DriftSystem,
     LyapunovCertificate,
@@ -14,6 +16,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateSpecies,
     ErgocheckError,
+    InternalCheckFailed,
     MissingTotals,
     NonPositiveRate,
     OverlappingConservation,
@@ -78,5 +81,3 @@ from .report import (
     report_to_dict,
     verify,
 )
-
-__version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 PROVEN_ERGODIC, 1 INCONCLUSIVE, 2 IRREDUCIBILITY_DISPROVEN,
-3 parse/input error, 4 UNSUPPORTED.
+3 parse/input error, 4 UNSUPPORTED, 5 internal self-check failed (no
+report is printed).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import click
 
-from .errors import InputError, StateSpaceTooLarge, WitnessRejected
+from .errors import InputError, InternalCheckFailed, StateSpaceTooLarge, WitnessRejected
 from .network import DEFAULT_MAX_STATES
 from .report import (
     INCONCLUSIVE,
@@ -31,6 +32,7 @@ EXIT_CODES = {
     UNSUPPORTED: 4,
 }
 INPUT_ERROR_EXIT = 3
+INTERNAL_ERROR_EXIT = 5
 
 
 def _max_states():
@@ -91,6 +93,9 @@ def _run(path, totals, fmt, witness_path, oracle, seed, no_timings):
     except (InputError, StateSpaceTooLarge) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(INPUT_ERROR_EXIT)
+    except InternalCheckFailed as exc:
+        click.echo(f"internal check failed: {exc}", err=True)
+        sys.exit(INTERNAL_ERROR_EXIT)
     click.echo(
         render_report(report, fmt=fmt, include_timings=not no_timings), nl=False
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedReactionOrder, WitnessRejected
+from .errors import InternalCheckFailed, UnsupportedReactionOrder, WitnessRejected
 from .lfp import LfpProblem, solve_lfp
 from .linalg import RationalMatrix
 
@@ -159,7 +159,8 @@ def check_negative_drift(ds, cs=None):
     cert = LyapunovCertificate(
         w=tuple(w), v_positive=v, alphas=alphas, drift_margin=margin
     )
-    assert verify_certificate(cert, ds)
+    if not verify_certificate(cert, ds):
+        raise InternalCheckFailed("Lyapunov certificate fails its exact re-check")
     return cert
 
 

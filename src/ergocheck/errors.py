@@ -73,3 +73,7 @@ class WitnessRejected(InputError):
 
 class MissingTotals(InputError):
     """Conservation relations were detected but no totals were supplied."""
+
+
+class InternalCheckFailed(ErgocheckError):
+    """A computed result failed its own exact re-check (also under -O)."""

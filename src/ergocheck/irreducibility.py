@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .lfp import LfpOutcome, LfpProblem, solve_lfp
 from .linalg import RationalMatrix, hermite_normal_form, lattice_spans_full, rank
@@ -33,21 +35,29 @@ class LevelDecomposition:
     uncovered: frozenset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConservedClassAnalysis:
-    """Single-step and reachability structure of the conserved chain for a
-    given available-species set A."""
+    """Transition structure of the conserved chain for a given
+    available-species set A: the edges of Z(A), its equivalence classes
+    (strong components) and which of them are closed."""
 
     available: frozenset
-    z: tuple  # n_c x n_c 0/1 rows
-    omega: tuple
-    classes: tuple  # tuple of frozensets of state indices
+    edges: np.ndarray  # (m, 2) state-index pairs i -> j with i != j
+    labels: np.ndarray  # class of every state; classes ordered by smallest member
     closed_flags: tuple
+    closed_fireable: tuple  # per closed class: reactions fireable at some member
     eta: int  # number of closed classes
 
     @property
     def num_classes(self):
-        return len(self.classes)
+        return len(self.closed_flags)
+
+    @property
+    def classes(self):
+        """Tuple of frozensets of state indices, one per class."""
+        members = np.argsort(self.labels, kind="stable")
+        parts = np.split(members, np.cumsum(np.bincount(self.labels))[:-1])
+        return tuple(frozenset(p.tolist()) for p in parts[: self.num_classes])
 
     def closed_classes(self):
         return tuple(
@@ -90,73 +100,131 @@ def fireable_reactions(s, available, cs=None, e=None):
 
 
 def reachability_closure(z):
-    """Boolean (I + Z)^(n-1) via repeated squaring on the 0/1 semiring."""
+    """Boolean (I + Z)^(n-1) via repeated squaring on the 0/1 semiring; a
+    dense reference, unused by the class analysis.  Products stay boolean
+    (OR of ANDs), so no path count can wrap."""
     z = np.asarray(z, dtype=bool)
     n = z.shape[0]
     base = z | np.eye(n, dtype=bool)
     result = np.eye(n, dtype=bool)
-    power = n - 1
+    power = max(n - 1, 0)
     while power:
         if power & 1:
-            result = (result.astype(np.uint8) @ base.astype(np.uint8)) > 0
-        base_next = (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
-        base = base_next
+            result = result @ base
+        base = base @ base
         power >>= 1
     return result
 
 
+def _state_keys(cs):
+    """Conserved states as a 2-D array, their mixed-radix keys, and per
+    coordinate its bound top_c = total // weight and its place value.
+
+    Keys are injective on the box [0, top_c] that holds every solution.
+    The arrays are int64 when every key fits and Python ints (dtype
+    object) otherwise, so no coordinate or key ever wraps.
+    """
+    top = []
+    for gamma, (start, end), total in zip(cs.gammas, cs.relation_slices, cs.totals):
+        top += [total // gamma[cs.d_u + j] for j in range(start, end)]
+    place = [1] * len(top)
+    for c in range(len(top) - 2, -1, -1):
+        place[c] = place[c + 1] * (top[c + 1] + 1)
+    dtype = np.int64 if place[0] * (top[0] + 1) < 2**62 else object
+    states = np.array(cs.conserved_states, dtype=dtype).reshape(-1, len(top))
+    return states, states @ np.array(place, dtype=dtype), top, place
+
+
 def conserved_class_analysis(s, cs, available):
-    """Transition matrix Z(A), reachability, equivalence classes and the
-    number of closed classes over the enumerated conserved states."""
-    states = cs.conserved_states
-    index = {e: i for i, e in enumerate(states)}
-    n_c = len(states)
-    d_u = cs.d_u
-    z = np.zeros((n_c, n_c), dtype=bool)
-    for i, e in enumerate(states):
-        for k in fireable_reactions(s, available, cs, e):
-            nu, nu_p = s.pairs[k]
-            hat = nu[d_u:]
-            hat_p = nu_p[d_u:]
-            target = tuple(ei - h + hp for ei, h, hp in zip(e, hat, hat_p))
-            j = index.get(target)
-            if j is not None:
-                z[i, j] = True
-    omega = reachability_closure(z)
-    mutual = omega & omega.T
-    assigned = [None] * n_c
-    classes = []
-    for i in range(n_c):
-        if assigned[i] is None:
-            members = frozenset(int(j) for j in np.nonzero(mutual[i])[0])
-            for j in members:
-                assigned[j] = len(classes)
-            classes.append(members)
-    closed_flags = []
-    for members in classes:
-        closed = True
-        for i in members:
-            for j in np.nonzero(z[i])[0]:
-                if int(j) not in members:
-                    closed = False
-                    break
-            if not closed:
-                break
-        closed_flags.append(closed)
+    """Edges of Z(A), equivalence classes and closed classes of the conserved
+    chain for the available-species set A, in O(n_c + edges) memory.
+
+    Per reaction: a mask of the states where it fires, and its targets
+    found by key (self-loops dropped).  Classes are the strong components
+    (Tarjan, via scipy), ordered by smallest member; a class is closed
+    when no edge leaves it.
+    """
+    states, keys, top, place = _state_keys(cs)
+    n_c = len(keys)
+    order = np.argsort(keys, kind="stable")
+    fires = {}
+    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for k, (nu, nu_p) in enumerate(s.pairs):
+        bar, hat = _split(nu, cs.d_u)
+        if any(c and i not in available for i, c in enumerate(bar)):
+            continue
+        if any(h > t for h, t in zip(hat, top)):
+            continue  # demand exceeds every state
+        mask = np.ones(n_c, dtype=bool)
+        for c, h in enumerate(hat):
+            if h:
+                mask &= states[:, c] >= h
+        fires[k] = mask
+        delta = [hp - h for h, hp in zip(hat, nu_p[cs.d_u :])]
+        if not any(delta) or any(dc > t for dc, t in zip(delta, top)):
+            continue  # a self-loop everywhere, or no target in the box
+        for c, dc in enumerate(delta):
+            if dc > 0:  # a new array: fires[k] stays as it is
+                mask = mask & (states[:, c] <= top[c] - dc)
+        i = np.flatnonzero(mask)
+        target = keys[i] + sum(dc * p for dc, p in zip(delta, place))
+        j = order[np.minimum(np.searchsorted(keys, target, sorter=order), n_c - 1)]
+        found = keys[j] == target
+        src.append(i[found])
+        dst.append(j[found])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(len(src), dtype=np.int32), (src, dst)), shape=(n_c, n_c)
+    )
+    n_classes, raw = connected_components(graph, directed=True, connection="strong")
+    _, first = np.unique(raw, return_index=True)
+    labels = np.argsort(np.argsort(first))[raw]  # renumber by smallest member
+
+    closed = np.ones(n_classes, dtype=bool)
+    leaving = labels[src] != labels[dst]
+    closed[labels[src[leaving]]] = False
+    closed_ids = np.flatnonzero(closed)
+    fireable = [set() for _ in closed_ids]
+    for k, mask in fires.items():
+        hit = np.zeros(n_classes, dtype=bool)
+        hit[labels[mask]] = True
+        for slot in np.flatnonzero(hit[closed_ids]):
+            fireable[slot].add(k)
     return ConservedClassAnalysis(
         available=frozenset(available),
-        z=tuple(tuple(int(v) for v in row) for row in z),
-        omega=tuple(tuple(int(v) for v in row) for row in omega),
-        classes=tuple(classes),
-        closed_flags=tuple(closed_flags),
-        eta=sum(closed_flags),
+        edges=np.stack([src, dst], axis=1),
+        labels=labels,
+        closed_flags=tuple(bool(flag) for flag in closed),
+        closed_fireable=tuple(frozenset(f) for f in fireable),
+        eta=len(closed_ids),
+    )
+
+
+def _levels(num_species, producible):
+    """Levels G_l = producible(H_{l-1}) minus H_{l-1}, from H_0 = {} until
+    nothing new appears or every species is covered."""
+    species = set(range(num_species))
+    h = set()
+    levels = []
+    cumulative = []
+    while h != species:
+        g = producible(frozenset(h)) - h
+        if not g:
+            break
+        h |= g
+        levels.append(frozenset(g))
+        cumulative.append(frozenset(h))
+    return LevelDecomposition(
+        levels=tuple(levels),
+        cumulative=tuple(cumulative),
+        exhaustive=h == species,
+        uncovered=frozenset(species - h),
     )
 
 
 def level_decomposition(s):
     """Levels for the no-conservation case."""
-    d = s.num_species
-    species = set(range(d))
     supports = [
         (
             frozenset(i for i, c in enumerate(nu) if c),
@@ -164,26 +232,9 @@ def level_decomposition(s):
         )
         for nu, nu_p in s.pairs
     ]
-    h = set()
-    levels = []
-    cumulative = []
-    while True:
-        g = set()
-        for nu_s, nup_s in supports:
-            if nu_s <= h:
-                g |= nup_s - h
-        if not g:
-            break
-        h |= g
-        levels.append(frozenset(g))
-        cumulative.append(frozenset(h))
-        if h == species:
-            break
-    return LevelDecomposition(
-        levels=tuple(levels),
-        cumulative=tuple(cumulative),
-        exhaustive=h == species,
-        uncovered=frozenset(species - h),
+    return _levels(
+        s.num_species,
+        lambda h: {i for nu_s, nup_s in supports if nu_s <= h for i in nup_s},
     )
 
 
@@ -193,41 +244,15 @@ def level_decomposition_conserved(s, cs):
     A species enters level l only if every closed equivalence class of the
     conserved chain for availability H_{l-1} admits a reaction producing it.
     """
-    d_u = cs.d_u
-    species = set(range(d_u))
-    h = set()
-    levels = []
-    cumulative = []
-    while True:
-        analysis = conserved_class_analysis(s, cs, h)
-        closed = analysis.closed_classes()
-        g = set()
-        for i in species - h:
-            ok = bool(closed)
-            for members in closed:
-                fireable = set()
-                for idx in members:
-                    fireable |= fireable_reactions(
-                        s, h, cs, cs.conserved_states[idx]
-                    )
-                if not any(s.pairs[k][1][i] for k in fireable):
-                    ok = False
-                    break
-            if ok:
-                g.add(i)
-        if not g:
-            break
-        h |= g
-        levels.append(frozenset(g))
-        cumulative.append(frozenset(h))
-        if h == species:
-            break
-    return LevelDecomposition(
-        levels=tuple(levels),
-        cumulative=tuple(cumulative),
-        exhaustive=h == species,
-        uncovered=frozenset(species - h),
-    )
+
+    def producible(h):
+        made = [
+            {i for k in ks for i in range(cs.d_u) if s.pairs[k][1][i]}
+            for ks in conserved_class_analysis(s, cs, h).closed_fireable
+        ]
+        return set.intersection(*made) if made else set()
+
+    return _levels(cs.d_u, producible)
 
 
 def _positive_flux_lfp(m):

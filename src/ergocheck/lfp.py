@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalCheckFailed
 from .linalg import RationalMatrix, _axpy
 
 FEASIBLE = "feasible"
@@ -158,15 +158,16 @@ def solve_lfp(problem):
     if objval != 0:
         return LfpOutcome(status=INFEASIBLE)
 
-    values = {}
-    for i, b in enumerate(basis):
-        values[b] = rhs[i]
-    witness = tuple(
-        values.get(j, Fraction(0)) - values.get(n + j, Fraction(0))
-        for j in range(n)
-    )
-    assert witness_satisfies(problem, witness)
+    witness = _basic_solution(basis, rhs, n)
+    if not witness_satisfies(problem, witness):
+        raise InternalCheckFailed("simplex witness fails exact substitution")
     return LfpOutcome(status=FEASIBLE, witness=witness)
+
+
+def _basic_solution(basis, rhs, n):
+    """v = v+ - v- read off the final tableau; nonbasic columns are 0."""
+    values = dict(zip(basis, rhs))
+    return tuple(Fraction(values.get(j, 0) - values.get(n + j, 0)) for j in range(n))
 
 
 def _pivot(rows, rhs, basis, obj, pi, entering):

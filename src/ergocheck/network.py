@@ -22,6 +22,8 @@ from math import gcd
 from .errors import (
     DuplicateSpecies,
     IndexOutOfRange,
+    InputError,
+    InternalCheckFailed,
     MissingTotals,
     NonPositiveRate,
     OverlappingConservation,
@@ -271,7 +273,8 @@ def propensity(net, k, x):
         if num == 0:
             break
     value = r.rate * Fraction(max(num, 0), den)
-    assert (value > 0) == all(xi >= vi for xi, vi in zip(x, r.reactants))
+    if (value > 0) != all(xi >= vi for xi, vi in zip(x, r.reactants)):
+        raise InternalCheckFailed(f"propensity of reaction {k} has the wrong sign")
     return value
 
 
@@ -412,54 +415,65 @@ def reorder_conserved_last(net, gammas):
 
 def _relation_states(weights, total):
     """Lexicographically ordered nonneg integer solutions of sum w_i x_i = C."""
-    out = []
+    if len(weights) == 1:
+        return [(total // weights[0],)] if total % weights[0] == 0 else []
+    return [
+        (v,) + rest
+        for v in range(total // weights[0] + 1)
+        for rest in _relation_states(weights[1:], total - v * weights[0])
+    ]
 
-    def rec(prefix, remaining):
-        idx = len(prefix)
-        if idx == len(weights):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        w = weights[idx]
-        if idx == len(weights) - 1:
-            if remaining % w == 0:
-                out.append(tuple(prefix) + (remaining // w,))
-            return
-        for v in range(remaining // w + 1):
-            rec(prefix + [v], remaining - v * w)
 
-    rec([], total)
-    return out
+def _count_relation_states(weights, total, cap):
+    """Number of nonneg integer solutions of sum w_i x_i = C (some number
+    above `cap` once it exceeds `cap`), without building any.  The last two
+    coordinates are counted in closed form: x_{n-2} runs over one residue
+    class modulo b / gcd(a, b)."""
+    if len(weights) == 1:
+        return int(total % weights[0] == 0)
+    if len(weights) == 2:
+        a, b = weights
+        g = gcd(a, b)
+        if total % g:
+            return 0
+        a, b, total = a // g, b // g, total // g
+        first = total * pow(a, -1, b) % b  # least x with b | total - a x
+        return (total // a - first) // b + 1  # 0 when first > total // a
+    count = 0
+    for v in range(total // weights[0] + 1):
+        if count > cap:
+            break
+        rest = total - v * weights[0]
+        count += _count_relation_states(weights[1:], rest, cap - count)
+    return count
 
 
 def enumerate_conserved_states(cs, totals, max_states=DEFAULT_MAX_STATES):
     """Attach totals and the enumerated conserved state set E_c.
 
     E_c is the Cartesian product over relations (lexicographic order) and
-    its size is bounded by `max_states`.
+    its size, counted before any state is built, is bounded by `max_states`.
     """
     if len(totals) != cs.num_relations:
         raise MissingTotals(
             f"expected {cs.num_relations} conserved totals, got {len(totals)}"
         )
-    per_relation = []
+    if any(t < 0 for t in totals):
+        raise InputError(f"conserved totals must be nonnegative, got {tuple(totals)}")
+    weights = [
+        g[cs.d_u + start : cs.d_u + end]
+        for g, (start, end) in zip(cs.gammas, cs.relation_slices)
+    ]
     size = 1
-    for (start, end), total in zip(cs.relation_slices, totals):
-        weights = [cs.gammas[len(per_relation)][cs.d_u + j] for j in range(start, end)]
-        states = _relation_states(weights, total)
-        per_relation.append(states)
-        size *= max(len(states), 1)
+    for w, total in zip(weights, totals):
+        size *= max(_count_relation_states(w, total, max_states), 1)
         if size > max_states:
             raise StateSpaceTooLarge(
                 f"conserved state set exceeds bound {max_states}"
             )
-    combined = [
-        tuple(itertools.chain.from_iterable(parts))
-        for parts in itertools.product(*per_relation)
-    ]
-    return replace(
-        cs, totals=tuple(int(t) for t in totals), conserved_states=tuple(combined)
-    )
+    per_relation = [_relation_states(w, total) for w, total in zip(weights, totals)]
+    combined = tuple(sum(parts, ()) for parts in itertools.product(*per_relation))
+    return replace(cs, totals=tuple(int(t) for t in totals), conserved_states=combined)
 
 
 def inverse_structure(s):

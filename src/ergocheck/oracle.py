@@ -9,12 +9,14 @@ strong-connectivity probe of the transition graph.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components
 
 from .errors import PropensityOverflow, StateSpaceTooLarge
 from .linalg import solve_linear_system
@@ -148,22 +150,19 @@ def batch_means(traj, f, num_batches=20):
     return means, se
 
 
-def _enumerate_box(net, bounds, cs=None):
+def _enumerate_box(net, bounds, cs, max_states):
     """States of the truncated candidate space: a box over the unconserved
-    species crossed with the enumerated conserved set."""
-    d = net.num_species
-    if cs is not None and cs.d_c > 0:
-        d_u = cs.d_u
-        ranges = [range(b + 1) for b in bounds[:d_u]]
-        states = [
-            tuple(u) + tuple(e)
-            for u in itertools.product(*ranges)
-            for e in cs.conserved_states
-        ]
-    else:
-        ranges = [range(b + 1) for b in bounds[:d]]
-        states = [tuple(u) for u in itertools.product(*ranges)]
-    return states
+    species crossed with the enumerated conserved set.  Its size is checked
+    against `max_states` before any state is built."""
+    conserved = cs is not None and cs.d_c > 0
+    ranges = [range(b + 1) for b in bounds[: cs.d_u if conserved else net.num_species]]
+    tails = cs.conserved_states if conserved else ((),)
+    size = math.prod(len(r) for r in ranges) * len(tails)
+    if size > max_states:
+        raise StateSpaceTooLarge(
+            f"truncated space has {size} states > bound {max_states}"
+        )
+    return [tuple(u) + tuple(e) for u in itertools.product(*ranges) for e in tails]
 
 
 def truncated_cme_stationary(net, bounds, cs=None, max_states=None):
@@ -176,11 +175,7 @@ def truncated_cme_stationary(net, bounds, cs=None, max_states=None):
     """
     if max_states is None:
         max_states = DEFAULT_MAX_STATES
-    states = _enumerate_box(net, bounds, cs)
-    if len(states) > max_states:
-        raise StateSpaceTooLarge(
-            f"truncated space has {len(states)} states > bound {max_states}"
-        )
+    states = _enumerate_box(net, bounds, cs, max_states)
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
     boundary = [False] * n
@@ -260,13 +255,9 @@ def empirical_irreducibility_probe(net, bounds, cs=None, max_states=None):
     """
     if max_states is None:
         max_states = DEFAULT_MAX_STATES
-    states = _enumerate_box(net, bounds, cs)
-    if len(states) > max_states:
-        raise StateSpaceTooLarge(
-            f"truncated space has {len(states)} states > bound {max_states}"
-        )
+    states = _enumerate_box(net, bounds, cs, max_states)
     index = {s: i for i, s in enumerate(states)}
-    succ = [[] for _ in states]
+    src, dst = [], []
     interior = [True] * len(states)
     reactants = [r.reactants for r in net.reactions]
     displacements = [r.displacement for r in net.reactions]
@@ -280,59 +271,16 @@ def empirical_irreducibility_probe(net, bounds, cs=None, max_states=None):
             if j is None:
                 interior[i] = False
             elif j != i:
-                succ[i].append(j)
-    nodes = [i for i, keep in enumerate(interior) if keep]
-    if not nodes:
+                src.append(i)
+                dst.append(j)
+    interior = np.array(interior, dtype=bool)
+    if not interior.any():
         return True, 0
-    node_set = set(nodes)
-    comp = _tarjan_scc(succ, node_set)
-    n_components = len({comp[i] for i in nodes})
-    return n_components == 1, len(nodes)
-
-
-def _tarjan_scc(succ, node_set):
-    """Iterative Tarjan restricted to `node_set`; returns component ids."""
-    idx = {}
-    low = {}
-    comp = {}
-    on_stack = set()
-    stack = []
-    counter = itertools.count()
-    comp_counter = itertools.count()
-    for root in node_set:
-        if root in idx:
-            continue
-        work = [(root, iter([s for s in succ[root] if s in node_set]))]
-        idx[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in idx:
-                    idx[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append(
-                        (nxt, iter([s for s in succ[nxt] if s in node_set]))
-                    )
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], idx[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == idx[node]:
-                cid = next(comp_counter)
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp[member] = cid
-                    if member == node:
-                        break
-    return comp
+    src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+    keep = interior[src] & interior[dst]
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(int(keep.sum()), dtype=np.int32), (src[keep], dst[keep])),
+        shape=(len(states), len(states)),
+    )
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    return len(np.unique(labels[interior])) == 1, int(interior.sum())

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import __version__
 from . import drift as drift_mod
 from . import irreducibility as irr_mod
 from .errors import MissingTotals, OverlappingConservation, UnsupportedReactionOrder
@@ -33,8 +34,6 @@ from .oracle import (
     time_average,
     truncated_cme_stationary,
 )
-
-__version__ = "0.1.0"
 
 PROVEN_ERGODIC = "PROVEN_ERGODIC"
 IRREDUCIBILITY_DISPROVEN = "IRREDUCIBILITY_DISPROVEN"

@@ -172,20 +172,20 @@ def random_network_text(rng, max_species=4, max_reactions=5):
 
 
 def bfs_reachability(z):
-    """0/1 reachability-in-<=n-1-steps matrix by plain BFS (oracle)."""
+    """0/1 reachability-in-<=n-1-steps matrix by plain BFS (oracle).
+
+    Level-synchronous: each step adds the unseen successors of the whole
+    frontier, read off the rows of z.  No matrix product is formed.
+    """
     n = len(z)
-    out = [[0] * n for _ in range(n)]
+    z = np.asarray(z, dtype=bool).reshape(n, n)
+    out = []
     for start in range(n):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in range(n):
-                    if z[i][j] and j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        for j in seen:
-            out[start][j] = 1
+        seen = np.zeros(n, dtype=bool)
+        seen[start] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = z[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        out.append([int(v) for v in seen])
     return out

@@ -206,12 +206,25 @@ def test_criterion_5b_lfp_grid_oracle():
 
 def test_criterion_5c_reachability_vs_bfs():
     rng = random.Random(31337)
+    graphs = []
     for _ in range(500):
         n = rng.randint(1, 12)
-        z = [[1 if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
+        graphs.append(
+            [[1 if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
+        )
+    for n in (256, 300):  # past the old uint8 wrap: complete and sparse
+        graphs.append([[1] * n for _ in range(n)])
+        graphs.append(
+            [[1 if rng.random() < 0.01 else 0 for _ in range(n)] for _ in range(n)]
+        )
+    for z in graphs:
         got = reachability_closure(z)
         assert [[int(v) for v in row] for row in got] == bfs_reachability(z)
-    _ok(5, "(c) boolean matrix-power reachability equals BFS on 500 digraphs")
+    _ok(
+        5,
+        f"(c) boolean matrix-power reachability equals BFS on {len(graphs)}"
+        " digraphs, n up to 300",
+    )
 
 
 def test_criterion_5d_certificate_cone(bd_text, oscillator_text):

@@ -1,10 +1,15 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from click.testing import CliRunner
 
 from ergocheck import parse_report
-from ergocheck.cli import main
+from ergocheck.cli import INTERNAL_ERROR_EXIT, main
 from conftest import DATA
 
 
@@ -55,6 +60,13 @@ class TestExitCodes:
         result = run(runner, "analyze", str(DATA / "oscillator.crn"))
         assert result.exit_code == 3
         assert "totals" in result.stderr.lower()
+
+    def test_conserved_chain_past_256_states_is_proven(self, runner, tmp_path):
+        p = tmp_path / "switch.crn"
+        p.write_text("0 -> X ; 1\nX -> 0 ; 1\nA + X -> B + X ; 1\nB -> A ; 1\n")
+        result = run(runner, "analyze", str(p), "--conserved-totals", "513")
+        assert result.exit_code == 0
+        assert "PROVEN_ERGODIC" in result.output
 
     def test_oscillator_with_totals(self, runner):
         result = run(
@@ -215,3 +227,37 @@ class TestStateBoundOverride:
             env={"ERGOCHECK_MAX_STATES": "lots"},
         )
         assert result.exit_code == 3
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# Run the CLI under python -O with the simplex witness corrupted: the
+# exact re-check must still refuse it, although -O strips every assert.
+CORRUPTED_WITNESS_RUN = textwrap.dedent(
+    """
+    import sys
+    import ergocheck.lfp as lfp
+    from ergocheck.cli import main
+
+    if __debug__:
+        sys.exit("not running under python -O")
+    solution = lfp._basic_solution
+    lfp._basic_solution = lambda *a: (solution(*a)[0] + 1,) + solution(*a)[1:]
+    main(["analyze", sys.argv[1], "--format", "json"])
+    """
+)
+
+
+def test_corrupted_flux_witness_is_caught_under_optimize():
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_WITNESS_RUN, str(DATA / "bd.crn")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == INTERNAL_ERROR_EXIT, proc.stderr
+    assert proc.stdout == ""
+    assert "internal check failed" in proc.stderr

@@ -1,6 +1,10 @@
 import random
+import time
+
+import pytest
 
 from ergocheck import (
+    analyze,
     check_irreducibility,
     conserved_class_analysis,
     enumerate_conserved_states,
@@ -17,9 +21,13 @@ from ergocheck.irreducibility import (
     INCONCLUSIVE,
     IRREDUCIBLE_PROVEN,
     NECESSARY_CONDITION_FAILED,
+    _state_keys,
     reachability_closure,
 )
 from helpers import bfs_reachability
+
+
+SWITCH = "0 -> X ; 1\nX -> 0 ; 1\nA + X -> B + X ; 1\nB -> A ; 1\n"
 
 
 def conserved_setup(text, totals):
@@ -59,6 +67,22 @@ class TestReachabilityClosure:
             expected = bfs_reachability(z)
             assert [[int(v) for v in row] for row in got] == expected
 
+    @pytest.mark.parametrize("n", [255, 256, 257, 300])
+    def test_matches_bfs_past_256_nodes(self, n):
+        # path counts of 256 and more once wrapped to 0 in a uint8 product
+        rng = random.Random(n)
+        for p in (0.003, 0.01, 0.05):
+            z = [[1 if rng.random() < p else 0 for _ in range(n)] for _ in range(n)]
+            got = reachability_closure(z)
+            assert [[int(v) for v in row] for row in got] == bfs_reachability(z)
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_complete_digraph(self, n):
+        z = [[1] * n for _ in range(n)]
+        got = reachability_closure(z)
+        assert got.all()
+        assert [[int(v) for v in row] for row in got] == bfs_reachability(z)
+
 
 class TestConservedClasses:
     def test_oscillator_nothing_available(self, oscillator_text):
@@ -90,6 +114,112 @@ class TestConservedClasses:
         )
         assert analysis.num_classes == 2
         assert analysis.eta == 1
+
+
+def reference_classes(s, cs, available):
+    """Edges, classes, closed flags and the reactions fireable in each closed
+    class, from a dense Z(A) built state by state with fireable_reactions,
+    and BFS."""
+    states = cs.conserved_states
+    index = {e: i for i, e in enumerate(states)}
+    n = len(states)
+    z = [[0] * n for _ in range(n)]
+    fireable = [fireable_reactions(s, available, cs, e) for e in states]
+    for i, e in enumerate(states):
+        for k in fireable[i]:
+            nu, nu_p = s.pairs[k]
+            target = tuple(
+                ei - h + hp for ei, h, hp in zip(e, nu[cs.d_u:], nu_p[cs.d_u:])
+            )
+            z[i][index[target]] = 1
+    reach = bfs_reachability(z)
+    classes = []
+    for i in range(n):
+        if not any(i in c for c in classes):
+            classes.append(
+                frozenset(j for j in range(n) if reach[i][j] and reach[j][i])
+            )
+    closed = tuple(
+        all(j in c for i in c for j in range(n) if z[i][j]) for c in classes
+    )
+    edges = {(i, j) for i in range(n) for j in range(n) if z[i][j] and i != j}
+    closed_fireable = tuple(
+        frozenset().union(*(fireable[i] for i in c))
+        for c, flag in zip(classes, closed)
+        if flag
+    )
+    return edges, tuple(classes), closed, closed_fireable
+
+
+# Conversions inside a pool of A, B, C: the first set conserves A + B + C,
+# the second A + B + 2C.  Catalysts X and Y are birth-death species.
+POOL_MOVES = (
+    (("A", "B"), ("B", "A"), ("B", "C"), ("C", "A"), ("A", "C"), ("C", "B")),
+    (
+        ("A + B", "C"), ("C", "A + B"), ("2*A", "C"),
+        ("C", "2*B"), ("A", "B"), ("B", "A"),
+    ),
+)
+
+
+def random_pool_chain(rng, two_pools):
+    lines = ["0 -> X ; 1", "X -> 0 ; 1", "0 -> Y ; 1", "Y -> 0 ; 1"]
+    moves = POOL_MOVES[rng.randrange(2)] if not two_pools else POOL_MOVES[0][:2]
+    for lhs, rhs in rng.sample(moves, rng.randint(2, len(moves))):
+        cat = rng.choice(["", " + X", " + Y"])
+        lines.append(f"{lhs}{cat} -> {rhs}{cat} ; 1")
+    if two_pools:
+        for lhs, rhs in (("D", "E"), ("E", "D")):
+            cat = rng.choice(["", " + X", " + Y"])
+            lines.append(f"{lhs}{cat} -> {rhs}{cat} ; 1")
+    return "\n".join(lines) + "\n"
+
+
+class TestSparseClassAnalysis:
+    def test_matches_bfs_on_random_chains_past_256_states(self):
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 12:
+            text = random_pool_chain(rng, two_pools=checked % 3 == 2)
+            net = parse_network(text)
+            gammas = find_conservation_relations(stoichiometry_matrix(net))
+            net, cs0 = reorder_conserved_last(net, gammas)
+            if cs0.num_relations == 1:
+                totals = (rng.randint(22, 34),)
+            elif cs0.num_relations == 2:
+                totals = (rng.randint(16, 22), rng.randint(16, 22))
+            else:
+                continue
+            cs = enumerate_conserved_states(cs0, totals)
+            if not 256 < cs.n_c <= 700:
+                continue
+            s = net.structure()
+            available = frozenset(rng.sample(range(cs.d_u), rng.randint(0, cs.d_u)))
+            analysis = conserved_class_analysis(s, cs, available)
+            edges, classes, closed, fireable = reference_classes(s, cs, available)
+            assert {tuple(e) for e in analysis.edges.tolist()} == edges
+            assert len(analysis.edges) == len(edges)
+            assert analysis.classes == classes
+            assert analysis.closed_flags == closed
+            assert analysis.closed_fireable == fireable
+            checked += 1
+
+    @pytest.mark.parametrize("reverse", [True, False])
+    def test_coordinates_beyond_int64_stay_exact(self, reverse):
+        # weights (10**20, 1): three states whose keys leave int64
+        big = 10**20
+        text = f"A -> {big}*B ; 1\n" + (f"{big}*B -> A ; 1\n" if reverse else "")
+        net, cs = conserved_setup(text, (2 * big,))
+        assert cs.n_c == 3
+        assert _state_keys(cs)[0].dtype == object
+        s = net.structure()
+        analysis = conserved_class_analysis(s, cs, frozenset())
+        edges, classes, closed, fireable = reference_classes(s, cs, frozenset())
+        assert {tuple(e) for e in analysis.edges.tolist()} == edges
+        assert analysis.classes == classes
+        assert analysis.closed_flags == closed
+        assert analysis.closed_fireable == fireable
+        assert analysis.num_classes == (1 if reverse else 3)
 
 
 class TestLevels:
@@ -189,6 +319,24 @@ class TestVerdicts:
         assert v.status == NECESSARY_CONDITION_FAILED
         assert v.failed_condition == "eta"
         assert "EmptyConservedSpace" in v.diagnostic
+
+    def test_switch_past_256_states_is_proven(self):
+        # total 513 (n_c 514) was once disproven by a uint8 wrap
+        v = check_irreducibility(*conserved_setup(SWITCH, (513,)))
+        assert v.status == IRREDUCIBLE_PROVEN
+        assert v.class_analysis.num_classes == 1
+        assert analyze(SWITCH, totals=(513,)).verdict == "PROVEN_ERGODIC"
+
+    def test_switch_of_a_hundred_thousand_states_is_fast(self):
+        start = time.perf_counter()
+        report = analyze(SWITCH, totals=(10**5,))
+        elapsed = time.perf_counter() - start
+        assert report.verdict == "PROVEN_ERGODIC"
+        assert elapsed < 10.0, f"{elapsed:.1f}s"
+
+    def test_total_beyond_int64_is_inconclusive(self):
+        report = analyze("0 -> X ; 1\nX -> 0 ; 1\nE + X -> E ; 1\n", totals=(10**30,))
+        assert report.verdict == "INCONCLUSIVE"
 
     def test_trapped_complex_fails_eta(self):
         # complex formation is irreversible, so the conserved chain has a

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from ergocheck import (
     reorder_conserved_last,
     stoichiometry_matrix,
 )
+from ergocheck.errors import InputError
 from helpers import random_network_text
 
 
@@ -247,6 +249,38 @@ class TestConservedStates:
         cs = self._cs(oscillator_text)
         with pytest.raises(StateSpaceTooLarge):
             enumerate_conserved_states(cs, (500, 500), max_states=1000)
+
+    def test_negative_total_rejected(self):
+        cs = self._cs("A -> B ; 1\nB -> A ; 1\n")
+        with pytest.raises(InputError):
+            enumerate_conserved_states(cs, (-1,))
+
+    def test_bound_checked_before_states_are_built(self):
+        cs = self._cs("A -> B ; 1\nB -> A ; 1\n")
+        start = time.perf_counter()
+        with pytest.raises(StateSpaceTooLarge):
+            enumerate_conserved_states(cs, (3_000_000,))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A -> B ; 1\nB -> A ; 1\n",
+            "A -> 2*B ; 1\n2*B -> A ; 1\n",
+            "2*B -> 3*A ; 1\n3*A -> 2*B ; 1\n",
+            "A -> B ; 1\nB -> C ; 1\nC -> A ; 1\n",
+            "A -> 2*B ; 1\nB -> C ; 1\nC -> B ; 1\n2*B -> A ; 1\n",
+        ],
+    )
+    def test_bound_is_exact(self, text):
+        cs = self._cs(text)
+        for total in range(13):
+            n_c = enumerate_conserved_states(cs, (total,)).n_c
+            if n_c:
+                at_bound = enumerate_conserved_states(cs, (total,), max_states=n_c)
+                assert at_bound.n_c == n_c
+                with pytest.raises(StateSpaceTooLarge):
+                    enumerate_conserved_states(cs, (total,), max_states=n_c - 1)
 
 
 def test_inverse_structure_is_an_involution(oscillator_text):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -146,6 +147,15 @@ class TestTruncatedStationary:
     def test_state_bound_enforced(self, bd_text):
         with pytest.raises(StateSpaceTooLarge):
             truncated_cme_stationary(parse_network(bd_text), (50,), max_states=10)
+
+    def test_box_bound_checked_before_states_are_built(self):
+        net = parse_network("0 -> A ; 1\nA -> B ; 1\nB -> 0 ; 1\n")
+        start = time.perf_counter()
+        with pytest.raises(StateSpaceTooLarge):
+            empirical_irreducibility_probe(net, (10**4, 10**4))
+        with pytest.raises(StateSpaceTooLarge):
+            truncated_cme_stationary(net, (10**4, 10**4))
+        assert time.perf_counter() - start < 1.0
 
     def test_sparse_path_agrees_with_exact(self, bd_text):
         net = parse_network(bd_text)
