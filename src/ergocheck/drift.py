@@ -39,7 +39,7 @@ class ReactionClassification:
 class DriftSystem:
     a: RationalMatrix  # d_u x d
     m_q: RationalMatrix  # d x K_q
-    b: RationalMatrix  # d_u x d, [-I | 0]
+    b: RationalMatrix  # d_u x d, [-I | 0]; in `problem` as bounds v_u >= 1
     problem: LfpProblem
     d_u: int
     d: int
@@ -92,9 +92,10 @@ def classify_reactions(net, cs=None):
 def build_drift_system(rc, net, cs=None):
     """Assemble the drift matrices and the feasibility problem.
 
-    Constraints: [A; B] v <= -1 (strict negativity encoded exactly as in a
-    cone: any strictly negative solution rescales to satisfy <= -1) and
-    M_q^T v = 0.
+    Constraints: A v <= -1 (strict negativity encoded exactly as in a
+    cone: any strictly negative solution rescales to satisfy <= -1),
+    M_q^T v = 0, and the B block B v <= -1, i.e. v_u >= 1, posed as lower
+    bounds on the unconserved coordinates; conserved coordinates are free.
     """
     d = net.num_species
     d_u = cs.d_u if cs is not None else d
@@ -117,10 +118,11 @@ def build_drift_system(rc, net, cs=None):
 
     b = RationalMatrix(d_u, d, [{i: Fraction(-1)} for i in range(d_u)])
 
-    ineq = [dict(r) for r in a.rows] + [dict(r) for r in b.rows]
-    rhs = [Fraction(-1)] * (2 * d_u)
     eq = [dict(r) for r in m_q.transpose().rows]
-    problem = LfpProblem.build(ineq, rhs, eq, [Fraction(0)] * rc.k_q, d)
+    lower = [1] * d_u + [None] * (d - d_u)
+    problem = LfpProblem.build(
+        [dict(r) for r in a.rows], [-1] * d_u, eq, [0] * rc.k_q, d, lower
+    )
     return DriftSystem(a=a, m_q=m_q, b=b, problem=problem, d_u=d_u, d=d)
 
 

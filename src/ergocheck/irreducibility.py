@@ -10,14 +10,13 @@ construction run forwards and on the arrow-flipped structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 from .lfp import LfpOutcome, LfpProblem, solve_lfp
-from .linalg import RationalMatrix, hermite_normal_form, lattice_spans_full, rank
+from .linalg import RationalMatrix, hermite_normal_form, lattice_spans_full
 from .network import inverse_structure, stoichiometry_matrix
 
 IRREDUCIBLE_PROVEN = "IRREDUCIBLE_PROVEN"
@@ -256,11 +255,9 @@ def level_decomposition_conserved(s, cs):
 
 
 def _positive_flux_lfp(m):
-    """F1/F2: M v = 0 with v >= 1, encoded as -v <= -1."""
+    """F1/F2: M v = 0 with v >= 1, the bound posed on the variables."""
     k = m.ncols
-    ineq = [{j: Fraction(-1)} for j in range(k)]
-    b = [Fraction(-1)] * k
-    return LfpProblem.build(ineq, b, [dict(r) for r in m.rows], [Fraction(0)] * m.nrows, k)
+    return LfpProblem.build([], [], [dict(r) for r in m.rows], [0] * m.nrows, k, [1] * k)
 
 
 def _verdict(status, failed, **kw):
@@ -301,7 +298,8 @@ def check_irreducibility(net, cs=None):
         m_bar = m
         target_rank = net.num_species
 
-    rank_value = rank(m_bar)
+    hnf = hermite_normal_form(m_bar)
+    rank_value = len(hnf.pivots)
     common = dict(rank_value=rank_value, rank_required=target_rank)
     if rank_value != target_rank:
         return _verdict(
@@ -311,7 +309,6 @@ def check_irreducibility(net, cs=None):
             **common,
         )
 
-    hnf = hermite_normal_form(m_bar)
     pivots = tuple(p for _, _, p in hnf.pivots)
     lattice_ok = lattice_spans_full(m_bar, target_rank, hnf=hnf)
     common.update(lattice_ok=lattice_ok, hnf_pivots=pivots)

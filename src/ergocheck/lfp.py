@@ -1,7 +1,10 @@
 """Exact linear feasibility solver.
 
-Decides non-emptiness of {v : A v <= b, A_eq v = b_eq} by a phase-I
-simplex over exact rationals with Bland's anti-cycling rule.  A reported
+Decides non-emptiness of {v : A v <= b, A_eq v = b_eq, v >= l} by a
+phase-I simplex over exact rationals with Bland's anti-cycling rule.  The
+problem is taken in natural form: each variable has a lower bound or is
+free.  A bounded variable is shifted to one nonnegative column,
+v_j = l_j + s_j; only free variables are split, v_j = v+ - v-.  A reported
 witness always re-verifies by substitution before being returned; an
 infeasible answer is backed by simplex termination at a positive phase-I
 optimum.
@@ -13,20 +16,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalCheckFailed
-from .linalg import RationalMatrix, _axpy
+from .linalg import RationalMatrix, _eliminate
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
+_RHS = -1  # tableau key of the right-hand side
 
 
 @dataclass(frozen=True)
 class LfpProblem:
-    """A feasibility instance A v <= b, A_eq v = b_eq over n variables."""
+    """A feasibility instance A v <= b, A_eq v = b_eq over n variables,
+    with v_j >= lower[j] for every j whose bound is not None."""
 
     a: RationalMatrix
     b: tuple
     a_eq: RationalMatrix
     b_eq: tuple
+    lower: tuple | None = None  # None: every variable free
 
     def __post_init__(self):
         if self.a.nrows != len(self.b):
@@ -35,19 +41,26 @@ class LfpProblem:
             raise DimensionMismatch("A_eq and b_eq row counts differ")
         if self.a.nrows and self.a_eq.nrows and self.a.ncols != self.a_eq.ncols:
             raise DimensionMismatch("A and A_eq column counts differ")
+        if self.lower is None:
+            object.__setattr__(self, "lower", (None,) * self.num_vars)
+        elif len(self.lower) != self.num_vars:
+            raise DimensionMismatch("lower bounds and variable counts differ")
 
     @property
     def num_vars(self):
         return self.a.ncols if self.a.nrows or self.a.ncols else self.a_eq.ncols
 
     @classmethod
-    def build(cls, ineq_rows, b, eq_rows, b_eq, num_vars):
+    def build(cls, ineq_rows, b, eq_rows, b_eq, num_vars, lower=None):
         """Construct from lists of sparse {col: value} rows."""
         return cls(
             a=RationalMatrix(len(ineq_rows), num_vars, [dict(r) for r in ineq_rows]),
             b=tuple(Fraction(x) for x in b),
             a_eq=RationalMatrix(len(eq_rows), num_vars, [dict(r) for r in eq_rows]),
             b_eq=tuple(Fraction(x) for x in b_eq),
+            lower=None
+            if lower is None
+            else tuple(None if x is None else Fraction(x) for x in lower),
         )
 
 
@@ -65,6 +78,8 @@ def witness_satisfies(problem, v):
     """Exact substitution check of every constraint (zero tolerance)."""
     if len(v) != problem.num_vars:
         raise DimensionMismatch("witness length mismatch")
+    if any(lo is not None and x < lo for x, lo in zip(v, problem.lower)):
+        return False
     av = problem.a.matvec(list(v))
     if any(lhs > rhs for lhs, rhs in zip(av, problem.b)):
         return False
@@ -75,43 +90,49 @@ def witness_satisfies(problem, v):
 def solve_lfp(problem):
     """Phase-I simplex with Bland's rule; exact rational arithmetic.
 
-    Variables are split v = v+ - v-.  Every row gets a slack (inequalities)
-    and, when no natural basic column exists, an artificial variable; the
-    instance is feasible iff the minimized artificial sum is exactly zero.
+    Column j holds s_j = v_j - l_j for a bounded variable and v+_j for a
+    free one, whose v-_j sits in column n + j.  Every row gets a slack
+    (inequalities) and, when no natural basic column exists, an artificial
+    variable; the instance is feasible iff the minimized artificial sum is
+    exactly zero.  The right-hand side and the phase-I objective live in
+    the tableau rows, so each pivot is a single elimination step.
     """
     n = problem.num_vars
+    lower = problem.lower
     rows = []
-    rhs = []
     basis = []
     art_rows = []
-    # column layout: v+ [0,n), v- [n,2n), slacks, then artificials
+    # column layout: v+ or s [0,n), v- [n,2n), slacks, then artificials
     nslack = problem.a.nrows
     next_col = 2 * n + nslack
 
     def add_row(coeffs, b, slack_col):
         nonlocal next_col
         row = {}
+        b = Fraction(b)
         for j, val in coeffs.items():
             if val:
                 row[j] = Fraction(val)
-                row[n + j] = -Fraction(val)
-        b = Fraction(b)
+                if lower[j] is None:
+                    row[n + j] = -Fraction(val)
+                else:
+                    b -= val * lower[j]
         sign = 1
         if b < 0:
             row = {j: -v for j, v in row.items()}
             b, sign = -b, -1
         if slack_col is not None:
             row[slack_col] = sign
-        idx = len(rows)
         if slack_col is not None and sign == 1:
             basis.append(slack_col)
         else:
             row[next_col] = 1
             basis.append(next_col)
             next_col += 1
-            art_rows.append(idx)
+            art_rows.append(len(rows))
+        if b:
+            row[_RHS] = b
         rows.append(row)
-        rhs.append(b)
 
     for i in range(problem.a.nrows):
         add_row(problem.a.rows[i], problem.b[i], 2 * n + i)
@@ -119,20 +140,19 @@ def solve_lfp(problem):
         add_row(problem.a_eq.rows[i], problem.b_eq[i], None)
 
     art_cols = set(basis[i] for i in art_rows)
-    # reduced costs for min(sum of artificials); artificials are basic.
+    # Reduced costs for min(sum of artificials), artificials basic; the
+    # _RHS entry holds minus the current sum.
     obj = {}
     for i in art_rows:
         for j, v in rows[i].items():
             if j not in art_cols:
                 obj[j] = obj.get(j, 0) - v
     obj = {j: v for j, v in obj.items() if v != 0}
-    objval = sum((rhs[i] for i in art_rows), Fraction(0))
 
-    while objval > 0:
-        entering = None
-        for j, v in obj.items():
-            if v < 0 and (entering is None or j < entering):
-                entering = j
+    while obj.get(_RHS, 0) < 0:
+        entering = min(
+            (j for j, v in obj.items() if v < 0 and j != _RHS), default=None
+        )
         if entering is None:
             break
         leave = None
@@ -140,7 +160,7 @@ def solve_lfp(problem):
         for i, row in enumerate(rows):
             a = row.get(entering)
             if a and a > 0:
-                ratio = rhs[i] / a
+                ratio = row.get(_RHS, 0) / a
                 if (
                     best_ratio is None
                     or ratio < best_ratio
@@ -150,44 +170,23 @@ def solve_lfp(problem):
         if leave is None:
             # phase-I objective is bounded below by 0, so this is unreachable
             break
-        _pivot(rows, rhs, basis, obj, leave, entering)
-        objval = sum(
-            (rhs[i] for i, b in enumerate(basis) if b in art_cols), Fraction(0)
-        )
+        _eliminate(rows[leave], entering, rows + [obj])
+        basis[leave] = entering
 
-    if objval != 0:
+    if obj.get(_RHS, 0) != 0:
         return LfpOutcome(status=INFEASIBLE)
 
-    witness = _basic_solution(basis, rhs, n)
+    witness = _basic_solution(basis, rows, lower)
     if not witness_satisfies(problem, witness):
         raise InternalCheckFailed("simplex witness fails exact substitution")
     return LfpOutcome(status=FEASIBLE, witness=witness)
 
 
-def _basic_solution(basis, rhs, n):
-    """v = v+ - v- read off the final tableau; nonbasic columns are 0."""
-    values = dict(zip(basis, rhs))
-    return tuple(Fraction(values.get(j, 0) - values.get(n + j, 0)) for j in range(n))
-
-
-def _pivot(rows, rhs, basis, obj, pi, entering):
-    prow = rows[pi]
-    pval = prow[entering]
-    if pval != 1:
-        prow = {j: v / pval for j, v in prow.items()}
-        rows[pi] = prow
-        rhs[pi] = rhs[pi] / pval
-    pb = rhs[pi]
-    for i, row in enumerate(rows):
-        if i == pi:
-            continue
-        f = row.pop(entering, None)
-        if f:
-            _axpy(row, prow, -f)
-            row.pop(entering, None)
-            rhs[i] -= f * pb
-    f = obj.pop(entering, None)
-    if f:
-        _axpy(obj, prow, -f)
-        obj.pop(entering, None)
-    basis[pi] = entering
+def _basic_solution(basis, rows, lower):
+    """v = l + s or v+ - v- read off the final tableau; nonbasic columns are 0."""
+    n = len(lower)
+    values = {col: row.get(_RHS, 0) for col, row in zip(basis, rows)}
+    return tuple(
+        Fraction((lo or 0) + values.get(j, 0) - values.get(n + j, 0))
+        for j, lo in enumerate(lower)
+    )

@@ -145,20 +145,23 @@ def rref(mat):
             break
         row = work.pop(i)
         pcol = min(row)
-        pval = row[pcol]
-        if pval != 1:
-            row = {j: v / pval for j, v in row.items()}
-        for other in work:
-            f = other.get(pcol)
-            if f:
-                _axpy(other, row, -f)
-        for _, other in done:
-            f = other.get(pcol)
-            if f:
-                _axpy(other, row, -f)
+        _eliminate(row, pcol, work + [r for _, r in done])
         done.append((pcol, row))
     done.sort(key=lambda t: t[0])
     return [p for p, _ in done], [r for _, r in done]
+
+
+def _eliminate(prow, pcol, rows):
+    """Gauss-Jordan step: scale `prow` in place so its `pcol` entry is 1,
+    then clear `pcol` from every other row of `rows`."""
+    pval = prow[pcol]
+    if pval != 1:
+        for j, v in prow.items():
+            prow[j] = v / pval
+    for row in rows:
+        f = row.get(pcol)
+        if f and row is not prow:
+            _axpy(row, prow, -f)
 
 
 def _axpy(target, source, factor):
@@ -205,44 +208,17 @@ def solve_linear_system(rows, rhs):
 
     `rows` is a list of {col: value} dicts and `rhs` the right-hand side.
     Returns one solution (free variables set to 0) or None if the system
-    is inconsistent.
+    is inconsistent, i.e. when the RREF of the augmented system [rows | rhs]
+    has a pivot in the right-hand-side column.
     """
-    RHS = object()  # sentinel column for the augmented entry
-    work = []
-    ncols = 0
-    for row, b in zip(rows, rhs):
-        r = {j: Fraction(v) for j, v in row.items() if v != 0}
-        if r:
-            ncols = max(ncols, max(r) + 1)
-        if b != 0:
-            r[RHS] = Fraction(b)
-        if r:
-            work.append(r)
-    done = []
-    while True:
-        i = _pick_sparsest(work)
-        if i is None:
-            break
-        row = work.pop(i)
-        real = [j for j in row if j is not RHS]
-        if not real:
-            return None  # 0 = nonzero: inconsistent
-        pcol = min(real)
-        pval = row[pcol]
-        if pval != 1:
-            row = {j: v / pval for j, v in row.items()}
-        for other in work:
-            f = other.get(pcol)
-            if f:
-                _axpy(other, row, -f)
-        for _, other in done:
-            f = other.get(pcol)
-            if f:
-                _axpy(other, row, -f)
-        done.append((pcol, row))
+    ncols = max((j + 1 for row in rows for j, v in row.items() if v != 0), default=0)
+    aug = [{**row, ncols: b} for row, b in zip(rows, rhs)]
+    pivots, reduced = rref(RationalMatrix(len(aug), ncols + 1, aug))
+    if pivots and pivots[-1] == ncols:
+        return None  # 0 = nonzero: inconsistent
     sol = [Fraction(0)] * ncols
-    for pcol, row in done:
-        sol[pcol] = row.get(RHS, Fraction(0))
+    for pcol, row in zip(pivots, reduced):
+        sol[pcol] = row.get(ncols, Fraction(0))
     return sol
 
 

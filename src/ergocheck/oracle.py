@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,6 +166,23 @@ def _enumerate_box(net, bounds, cs, max_states):
     return [tuple(u) + tuple(e) for u in itertools.product(*ranges) for e in tails]
 
 
+def _box_transitions(net, states):
+    """Yield (i, k, j) for every reaction k that can fire in state i
+    (x >= nu_k component-wise) and moves it: j is the index of the target
+    state, or None when the target leaves the box.  Self-loops are
+    dropped."""
+    index = {s: i for i, s in enumerate(states)}
+    reactants = [r.reactants for r in net.reactions]
+    displacements = [r.displacement for r in net.reactions]
+    for i, x in enumerate(states):
+        for k in range(net.num_reactions):
+            if any(xi < vi for xi, vi in zip(x, reactants[k])):
+                continue
+            j = index.get(tuple(xi + z for xi, z in zip(x, displacements[k])))
+            if j != i:
+                yield i, k, j
+
+
 def truncated_cme_stationary(net, bounds, cs=None, max_states=None):
     """Stationary distribution of the reflecting-truncated chain.
 
@@ -176,30 +194,20 @@ def truncated_cme_stationary(net, bounds, cs=None, max_states=None):
     if max_states is None:
         max_states = DEFAULT_MAX_STATES
     states = _enumerate_box(net, bounds, cs, max_states)
-    index = {s: i for i, s in enumerate(states)}
     n = len(states)
     boundary = [False] * n
 
     exact = n < EXACT_SOLVE_LIMIT
     entries = []  # (target_row, source_col, rate)
     diagonal = [Fraction(0) if exact else 0.0 for _ in range(n)]
-    for i, x in enumerate(states):
-        for k in range(net.num_reactions):
-            lam = propensity(net, k, x)
-            if lam <= 0:
-                continue
-            y = tuple(
-                xi + z for xi, z in zip(x, net.reactions[k].displacement)
-            )
-            j = index.get(y)
-            if j is None:
-                boundary[i] = True
-                continue
-            if j == i:
-                continue
-            rate = lam if exact else float(lam)
-            entries.append((j, i, rate))
-            diagonal[i] -= rate
+    for i, k, j in _box_transitions(net, states):
+        if j is None:
+            boundary[i] = True
+            continue
+        lam = propensity(net, k, states[i])
+        rate = lam if exact else float(lam)
+        entries.append((j, i, rate))
+        diagonal[i] -= rate
 
     if exact:
         rows = [dict() for _ in range(n)]
@@ -226,7 +234,14 @@ def truncated_cme_stationary(net, bounds, cs=None, max_states=None):
         qt[0, :] = 1.0
         rhs = np.zeros(n)
         rhs[0] = 1.0
-        pi = scipy.sparse.linalg.spsolve(qt.tocsr(), rhs)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
+                pi = scipy.sparse.linalg.spsolve(qt.tocsr(), rhs)
+        except RuntimeError:  # SuperLU could not factorize the system
+            pi = None
+        if pi is None or not np.all(np.isfinite(pi)):
+            raise StateSpaceTooLarge("stationary system is singular on this box")
         probs = [float(p) for p in pi]
         q = scipy.sparse.csr_matrix(
             (vals, (rows_idx, cols_idx)), shape=(n, n)
@@ -256,23 +271,14 @@ def empirical_irreducibility_probe(net, bounds, cs=None, max_states=None):
     if max_states is None:
         max_states = DEFAULT_MAX_STATES
     states = _enumerate_box(net, bounds, cs, max_states)
-    index = {s: i for i, s in enumerate(states)}
     src, dst = [], []
     interior = [True] * len(states)
-    reactants = [r.reactants for r in net.reactions]
-    displacements = [r.displacement for r in net.reactions]
-    for i, x in enumerate(states):
-        for k in range(net.num_reactions):
-            # positive propensity is equivalent to x >= nu_k component-wise
-            if any(xi < vi for xi, vi in zip(x, reactants[k])):
-                continue
-            y = tuple(xi + z for xi, z in zip(x, displacements[k]))
-            j = index.get(y)
-            if j is None:
-                interior[i] = False
-            elif j != i:
-                src.append(i)
-                dst.append(j)
+    for i, _, j in _box_transitions(net, states):
+        if j is None:
+            interior[i] = False
+        else:
+            src.append(i)
+            dst.append(j)
     interior = np.array(interior, dtype=bool)
     if not interior.any():
         return True, 0

@@ -7,6 +7,7 @@ through canonical forms plus exact determinants, and reachability is BFS.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -86,7 +87,8 @@ def grid_feasible(problem):
     """Exhaustive search over the denominator-<=4 grid in [-3, 3]^n.
 
     Exact: grid points are k/12 with integer k, so A v <= b becomes the
-    integer comparison A k <= 12 b.
+    integer comparison A k <= 12 b, and a lower bound v_j >= l_j becomes
+    k_j >= 12 l_j.
     """
     n = problem.num_vars
     pts = np.array(
@@ -99,6 +101,9 @@ def grid_feasible(problem):
     for row, b in zip(problem.a_eq.rows, problem.b_eq):
         coeff = np.array([int(row.get(j, 0)) for j in range(n)], dtype=np.int64)
         ok &= coeff @ pts == 12 * int(b)
+    for j, lo in enumerate(problem.lower):
+        if lo is not None:
+            ok &= pts[j] >= 12 * int(lo)
     if not ok.any():
         return None
     k = pts[:, int(np.argmax(ok))]
@@ -127,6 +132,17 @@ def random_boxed_lfp(rng):
         ineq.append({j: -1})
         b.append(3)
     return LfpProblem.build(ineq, b, eq, b_eq, n)
+
+
+def random_bounded_lfp(rng):
+    """`random_boxed_lfp` with a random integer lower bound in [-2, 2] on
+    some variables and the others free.  A bound is a unit row, which the
+    box rows of `oracle_box_sufficient` already cover."""
+    p = random_boxed_lfp(rng)
+    lower = [rng.choice([None, -2, -1, 0, 1, 2]) for _ in range(p.num_vars)]
+    return dataclasses.replace(
+        p, lower=tuple(None if x is None else Fraction(x) for x in lower)
+    )
 
 
 # --- network generators -----------------------------------------------

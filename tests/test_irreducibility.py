@@ -293,6 +293,10 @@ class TestVerdicts:
         v = check_irreducibility(parse_network("0 -> A + B ; 1\nA + B -> 0 ; 1\n"))
         assert v.status == NECESSARY_CONDITION_FAILED
         assert v.failed_condition == "rank"
+        assert (v.rank_value, v.rank_required) == (1, 2)
+        # the rank comes from the HNF, but a rank failure reports no lattice
+        assert v.hnf_pivots == ()
+        assert v.lattice_ok is False
 
     def test_proper_sublattice_detected(self):
         v = check_irreducibility(parse_network("0 -> 2*A ; 1\n2*A -> 0 ; 1\n"))

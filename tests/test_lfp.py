@@ -6,13 +6,21 @@ import pytest
 from ergocheck import (
     DimensionMismatch,
     LfpProblem,
+    build_drift_system,
+    classify_reactions,
     parse_network,
     solve_lfp,
     stoichiometry_matrix,
     witness_satisfies,
 )
 from ergocheck.irreducibility import _positive_flux_lfp
-from helpers import grid_feasible, oracle_box_sufficient, random_boxed_lfp
+from helpers import (
+    cascade_text,
+    grid_feasible,
+    oracle_box_sufficient,
+    random_bounded_lfp,
+    random_boxed_lfp,
+)
 
 
 def feasibility(problem):
@@ -112,6 +120,64 @@ class TestGridOracle:
             if expected is not None:
                 assert witness_satisfies(p, got.witness)
             checked += 1
+
+    def test_bounded_variables_agree_with_exhaustive_search(self):
+        rng = random.Random(4049)
+        checked = feas = mixed = 0
+        while checked < 300:
+            p = random_bounded_lfp(rng)
+            if not oracle_box_sufficient(p):
+                continue
+            expected = grid_feasible(p)
+            got = solve_lfp(p)
+            assert (got.status == "feasible") == (expected is not None)
+            if expected is not None:
+                assert witness_satisfies(p, got.witness)
+                feas += 1
+            mixed += None in p.lower and any(lo is not None for lo in p.lower)
+            checked += 1
+        assert 0 < feas < checked
+        assert mixed > 0
+
+
+class TestBounds:
+    def test_default_is_all_free(self):
+        p = LfpProblem.build([{0: 1}], [-5], [], [], 2)
+        assert p.lower == (None, None)
+        assert solve_lfp(p).witness == (Fraction(-5), Fraction(0))
+
+    def test_bound_shifts_the_variable(self):
+        # v0 + v1 = 1 with v0 >= 3 forces v1 <= -2, which a free v1 allows
+        p = LfpProblem.build([], [], [{0: 1, 1: 1}], [1], 2, lower=[3, None])
+        out = solve_lfp(p)
+        assert out.feasible
+        assert out.witness[0] >= 3 and sum(out.witness) == 1
+
+    def test_bounds_can_make_a_problem_infeasible(self):
+        p = LfpProblem.build([{0: 1, 1: 1}], [1], [], [], 2, lower=[1, 1])
+        assert not feasibility(p)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            LfpProblem.build([{0: 1}], [1], [], [], 2, lower=[0])
+        with pytest.raises(DimensionMismatch):
+            LfpProblem.build([], [], [{0: 1}], [1], 1, lower=[0, 0])
+
+    def test_witness_check_honours_bounds(self):
+        p = LfpProblem.build([], [], [], [], 2, lower=[1, None])
+        assert witness_satisfies(p, (Fraction(1), Fraction(-7)))
+        assert not witness_satisfies(p, (Fraction(1, 2), Fraction(0)))
+
+    def test_cascade_problems_have_one_row_per_equation(self):
+        net = parse_network(cascade_text(60))
+        flux = _positive_flux_lfp(stoichiometry_matrix(net))
+        drift = build_drift_system(classify_reactions(net), net).problem
+        for p in (flux, drift):
+            assert p.a.nrows + p.a_eq.nrows == 60
+            assert p.lower == (1,) * p.num_vars
+            out = solve_lfp(p)
+            assert out.feasible and witness_satisfies(p, out.witness)
+        assert flux.a.nrows == 0
 
 
 class TestWitnessChecking:

@@ -2,6 +2,7 @@ import math
 import time
 
 import pytest
+import scipy.sparse.linalg
 
 from ergocheck import (
     StateSpaceTooLarge,
@@ -156,6 +157,22 @@ class TestTruncatedStationary:
         with pytest.raises(StateSpaceTooLarge):
             truncated_cme_stationary(net, (10**4, 10**4))
         assert time.perf_counter() - start < 1.0
+
+    def test_singular_float_solve_raises(self):
+        # 0 and 1 are both absorbing: the truncated generator is singular
+        net = parse_network("2*S -> 0 ; 1\n")
+        with pytest.raises(StateSpaceTooLarge, match="singular"):
+            truncated_cme_stationary(net, (2500,))
+
+    def test_failed_float_factorization_raises(self, bd_text, monkeypatch):
+        # SuperLU raises instead of returning NaN on some singular systems
+        # (seen on a four-species network with a 14^4 box)
+        def fail(*args, **kwargs):
+            raise RuntimeError("failed to factorize matrix")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", fail)
+        with pytest.raises(StateSpaceTooLarge, match="singular"):
+            truncated_cme_stationary(parse_network(bd_text), (2500,))
 
     def test_sparse_path_agrees_with_exact(self, bd_text):
         net = parse_network(bd_text)
