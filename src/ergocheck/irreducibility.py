@@ -9,6 +9,7 @@ construction run forwards and on the arrow-flipped structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,23 +116,59 @@ def reachability_closure(z):
     return result
 
 
-def _state_keys(cs):
-    """Conserved states as a 2-D array, their mixed-radix keys, and per
-    coordinate its bound top_c = total // weight and its place value.
+class StateIndex:
+    """Rows of a 2-D integer state array, found by mixed-radix key.
 
-    Keys are injective on the box [0, top_c] that holds every solution.
-    The arrays are int64 when every key fits and Python ints (dtype
-    object) otherwise, so no coordinate or key ever wraps.
+    The keys are injective on the box [0, top_c] spanned by the column
+    maxima, which holds every state.  The arrays are int64 when every key
+    fits and Python ints (dtype object) otherwise, so no coordinate or key
+    ever wraps.
     """
-    top = []
-    for gamma, (start, end), total in zip(cs.gammas, cs.relation_slices, cs.totals):
-        top += [total // gamma[cs.d_u + j] for j in range(start, end)]
-    place = [1] * len(top)
-    for c in range(len(top) - 2, -1, -1):
-        place[c] = place[c + 1] * (top[c + 1] + 1)
-    dtype = np.int64 if place[0] * (top[0] + 1) < 2**62 else object
-    states = np.array(cs.conserved_states, dtype=dtype).reshape(-1, len(top))
-    return states, states @ np.array(place, dtype=dtype), top, place
+
+    def __init__(self, states):
+        top = [int(t) for t in states.max(axis=0, initial=0)]
+        place = [1] * len(top)
+        for c in range(len(top) - 2, -1, -1):
+            place[c] = place[c + 1] * (top[c + 1] + 1)
+        dtype = np.int64 if math.prod(t + 1 for t in top) < 2**62 else object
+        self.states = states.astype(dtype, copy=False)
+        self.top = top
+        self.place = place
+        self.keys = self.states @ np.array(place, dtype=dtype)
+        self.order = np.argsort(self.keys, kind="stable")
+
+    def targets(self, mask, delta):
+        """(i, j, found): the rows i where `mask` holds, and whether the
+        state i + delta is in the array, as row j when it is.
+
+        The caller guarantees i + delta >= 0 (a reaction that fires at i).
+        A target with a coordinate above its top is not found, even when
+        its key equals another state's key.
+        """
+        i = np.flatnonzero(mask)
+        if not len(i) or any(abs(dc) > t for dc, t in zip(delta, self.top)):
+            return i, i, np.zeros(len(i), dtype=bool)  # no target in the box
+        target = self.keys[i] + sum(dc * p for dc, p in zip(delta, self.place))
+        pos = np.searchsorted(self.keys, target, sorter=self.order)
+        j = self.order[np.minimum(pos, len(self.keys) - 1)]
+        found = self.keys[j] == target
+        for c, dc in enumerate(delta):
+            if dc > 0:
+                found &= self.states[i, c] <= self.top[c] - dc
+        return i, j, found
+
+
+def closed_classes(n, src, dst):
+    """Strong components (Tarjan, via scipy) of the digraph on n nodes with
+    edges src -> dst, as (labels, closed): a class is closed when no edge
+    leaves it."""
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(len(src), dtype=np.int32), (src, dst)), shape=(n, n)
+    )
+    n_classes, labels = connected_components(graph, directed=True, connection="strong")
+    closed = np.ones(n_classes, dtype=bool)
+    closed[labels[src[labels[src] != labels[dst]]]] = False
+    return labels, closed
 
 
 def conserved_class_analysis(s, cs, available):
@@ -139,13 +176,12 @@ def conserved_class_analysis(s, cs, available):
     chain for the available-species set A, in O(n_c + edges) memory.
 
     Per reaction: a mask of the states where it fires, and its targets
-    found by key (self-loops dropped).  Classes are the strong components
-    (Tarjan, via scipy), ordered by smallest member; a class is closed
-    when no edge leaves it.
+    found by key (self-loops dropped).  Classes are the strong components,
+    ordered by smallest member.
     """
-    states, keys, top, place = _state_keys(cs)
-    n_c = len(keys)
-    order = np.argsort(keys, kind="stable")
+    index = StateIndex(np.array(cs.conserved_states).reshape(cs.n_c, cs.d_c))
+    states, top = index.states, index.top
+    n_c = len(states)
     fires = {}
     src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for k, (nu, nu_p) in enumerate(s.pairs):
@@ -160,29 +196,18 @@ def conserved_class_analysis(s, cs, available):
                 mask &= states[:, c] >= h
         fires[k] = mask
         delta = [hp - h for h, hp in zip(hat, nu_p[cs.d_u :])]
-        if not any(delta) or any(dc > t for dc, t in zip(delta, top)):
-            continue  # a self-loop everywhere, or no target in the box
-        for c, dc in enumerate(delta):
-            if dc > 0:  # a new array: fires[k] stays as it is
-                mask = mask & (states[:, c] <= top[c] - dc)
-        i = np.flatnonzero(mask)
-        target = keys[i] + sum(dc * p for dc, p in zip(delta, place))
-        j = order[np.minimum(np.searchsorted(keys, target, sorter=order), n_c - 1)]
-        found = keys[j] == target
+        if not any(delta):
+            continue  # a self-loop everywhere
+        i, j, found = index.targets(mask, delta)
         src.append(i[found])
         dst.append(j[found])
     src, dst = np.concatenate(src), np.concatenate(dst)
 
-    graph = scipy.sparse.csr_matrix(
-        (np.ones(len(src), dtype=np.int32), (src, dst)), shape=(n_c, n_c)
-    )
-    n_classes, raw = connected_components(graph, directed=True, connection="strong")
+    raw, closed = closed_classes(n_c, src, dst)
     _, first = np.unique(raw, return_index=True)
-    labels = np.argsort(np.argsort(first))[raw]  # renumber by smallest member
-
-    closed = np.ones(n_classes, dtype=bool)
-    leaving = labels[src] != labels[dst]
-    closed[labels[src[leaving]]] = False
+    by_first = np.argsort(first)  # renumber by smallest member
+    labels, closed = np.argsort(by_first)[raw], closed[by_first]
+    n_classes = len(closed)
     closed_ids = np.flatnonzero(closed)
     fireable = [set() for _ in closed_ids]
     for k, mask in fires.items():

@@ -203,25 +203,6 @@ def left_null_space(mat):
     return null_space(mat.transpose())
 
 
-def solve_linear_system(rows, rhs):
-    """Solve a square-ish exact sparse linear system.
-
-    `rows` is a list of {col: value} dicts and `rhs` the right-hand side.
-    Returns one solution (free variables set to 0) or None if the system
-    is inconsistent, i.e. when the RREF of the augmented system [rows | rhs]
-    has a pivot in the right-hand-side column.
-    """
-    ncols = max((j + 1 for row in rows for j, v in row.items() if v != 0), default=0)
-    aug = [{**row, ncols: b} for row, b in zip(rows, rhs)]
-    pivots, reduced = rref(RationalMatrix(len(aug), ncols + 1, aug))
-    if pivots and pivots[-1] == ncols:
-        return None  # 0 = nonzero: inconsistent
-    sol = [Fraction(0)] * ncols
-    for pcol, row in zip(pivots, reduced):
-        sol[pcol] = row.get(ncols, Fraction(0))
-    return sol
-
-
 @dataclass(frozen=True)
 class HnfResult:
     """Column-style Hermite normal form H = M @ U with U unimodular.

@@ -1,33 +1,32 @@
 """Desk-scale empirical cross-validation.
 
 Gillespie direct-method trajectories, ergodic time averages with
-batch-means standard errors, a truncated stationary CME solver (exact
-rational for tiny spaces, sparse floating solve above) and a finite
-strong-connectivity probe of the transition graph.
+batch-means standard errors, and the finite-state projection of the CME
+(Munsky & Khammash 2006) on a box: the truncated chain is built once as
+arrays, its stationary distribution comes from one sparse floating-point
+solve (a box whose chain has other than one closed class is reported as
+singular instead of solved) and its interior is probed for strong
+connectivity.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.sparse.csgraph import connected_components
 
 from .errors import PropensityOverflow, StateSpaceTooLarge
-from .linalg import solve_linear_system
-from .network import DEFAULT_MAX_STATES, propensity
+from .irreducibility import StateIndex, closed_classes
+from .network import DEFAULT_MAX_STATES
 
 RATE_GUARD = 1e15
-EXACT_SOLVE_LIMIT = 2000
 BOUNDARY_MASS_THRESHOLD = 1e-8
 
-TIME_AVERAGE = "TIME_AVERAGE"
 TRUNCATED_CME = "TRUNCATED_CME"
 
 
@@ -49,6 +48,8 @@ class StationaryEstimate:
     boundary_mass: float = 0.0
     truncation_flagged: bool = False
     residual: float = 0.0
+    interior_strongly_connected: bool = True
+    interior_size: int = 0
 
     def mean(self, coordinate=0):
         return sum(
@@ -151,36 +152,70 @@ def batch_means(traj, f, num_batches=20):
     return means, se
 
 
-def _enumerate_box(net, bounds, cs, max_states):
-    """States of the truncated candidate space: a box over the unconserved
-    species crossed with the enumerated conserved set.  Its size is checked
-    against `max_states` before any state is built."""
+# The reflecting-truncated chain on a box: its states (one row each) and
+# every transition of a reaction that fires and moves a state, as arrays;
+# `dst` is -1 where the target leaves the box, `rate` is the float
+# mass-action propensity at the source.
+_Chain = namedtuple("_Chain", "states src dst reaction rate")
+
+
+def _build_chain(net, bounds, cs, max_states):
+    """States of the truncated candidate space, a box over the unconserved
+    species crossed with the enumerated conserved set, and all their
+    transitions.  The box size is checked against `max_states` before any
+    state is built."""
+    if max_states is None:
+        max_states = DEFAULT_MAX_STATES
     conserved = cs is not None and cs.d_c > 0
-    ranges = [range(b + 1) for b in bounds[: cs.d_u if conserved else net.num_species]]
-    tails = cs.conserved_states if conserved else ((),)
-    size = math.prod(len(r) for r in ranges) * len(tails)
+    shape = [b + 1 for b in bounds[: cs.d_u if conserved else net.num_species]]
+    size = math.prod(shape) * (cs.n_c if conserved else 1)
     if size > max_states:
         raise StateSpaceTooLarge(
             f"truncated space has {size} states > bound {max_states}"
         )
-    return [tuple(u) + tuple(e) for u in itertools.product(*ranges) for e in tails]
+    box = np.indices(shape).reshape(len(shape), math.prod(shape)).T
+    if conserved:
+        tails = np.array(cs.conserved_states).reshape(cs.n_c, cs.d_c)
+        box = np.hstack(
+            [np.repeat(box, len(tails), axis=0), np.tile(tails, (len(box), 1))]
+        )
+    index = StateIndex(box)
+    x = index.states
+    empty = np.empty(0, dtype=np.intp)
+    edges = [(empty, empty, empty, np.empty(0))]  # typed even with no transition
+    for k, r in enumerate(net.reactions):
+        if not any(r.displacement) or any(
+            v > t for v, t in zip(r.reactants, index.top)
+        ):
+            continue  # a self-loop everywhere, or fires nowhere in the box
+        mask = np.ones(len(x), dtype=bool)
+        for c, v in enumerate(r.reactants):
+            if v:
+                mask &= x[:, c] >= v
+        i, j, found = index.targets(mask, r.displacement)
+        falling = np.ones(len(i))
+        for c, v in enumerate(r.reactants):
+            if v:
+                xc = x[i, c].astype(float)
+                for step in range(v):
+                    falling *= xc - step
+                falling /= math.factorial(v)
+        dst = np.where(found, j, -1)  # -1: the target leaves the box
+        edges.append((i, dst, np.full(len(i), k), float(r.rate) * falling))
+    return _Chain(x, *map(np.concatenate, zip(*edges)))
 
 
-def _box_transitions(net, states):
-    """Yield (i, k, j) for every reaction k that can fire in state i
-    (x >= nu_k component-wise) and moves it: j is the index of the target
-    state, or None when the target leaves the box.  Self-loops are
-    dropped."""
-    index = {s: i for i, s in enumerate(states)}
-    reactants = [r.reactants for r in net.reactions]
-    displacements = [r.displacement for r in net.reactions]
-    for i, x in enumerate(states):
-        for k in range(net.num_reactions):
-            if any(xi < vi for xi, vi in zip(x, reactants[k])):
-                continue
-            j = index.get(tuple(xi + z for xi, z in zip(x, displacements[k])))
-            if j != i:
-                yield i, k, j
+def _interior_probe(chain):
+    """(strongly_connected, interior_size) of the interior: the states
+    whose every transition stays inside the box."""
+    interior = np.ones(len(chain.states), dtype=bool)
+    interior[chain.src[chain.dst < 0]] = False
+    if not interior.any():
+        return True, 0
+    # an interior source has no dst of -1; other sources are dropped
+    keep = interior[chain.src] & interior[chain.dst]
+    labels, _ = closed_classes(len(interior), chain.src[keep], chain.dst[keep])
+    return len(np.unique(labels[interior])) == 1, int(interior.sum())
 
 
 def truncated_cme_stationary(net, bounds, cs=None, max_states=None):
@@ -189,76 +224,54 @@ def truncated_cme_stationary(net, bounds, cs=None, max_states=None):
     Transitions leaving the box are dropped (reflecting truncation); the
     mass sitting on states with a dropped transition is reported so an
     undersized box is visible, and flags the estimate when it exceeds the
-    reporting threshold.
+    reporting threshold.  The stationary system is singular exactly when
+    the truncated chain has other than one closed class; that is checked
+    before the sparse solve.  The interior probe of the same chain is
+    reported alongside.
     """
-    if max_states is None:
-        max_states = DEFAULT_MAX_STATES
-    states = _enumerate_box(net, bounds, cs, max_states)
-    n = len(states)
-    boundary = [False] * n
+    chain = _build_chain(net, bounds, cs, max_states)
+    connected, interior_size = _interior_probe(chain)
+    n = len(chain.states)
+    inside = chain.dst >= 0
+    src, dst, rate = chain.src[inside], chain.dst[inside], chain.rate[inside]
 
-    exact = n < EXACT_SOLVE_LIMIT
-    entries = []  # (target_row, source_col, rate)
-    diagonal = [Fraction(0) if exact else 0.0 for _ in range(n)]
-    for i, k, j in _box_transitions(net, states):
-        if j is None:
-            boundary[i] = True
-            continue
-        lam = propensity(net, k, states[i])
-        rate = lam if exact else float(lam)
-        entries.append((j, i, rate))
-        diagonal[i] -= rate
+    if closed_classes(n, src, dst)[1].sum() != 1:
+        raise StateSpaceTooLarge("stationary system is singular on this box")
 
-    if exact:
-        rows = [dict() for _ in range(n)]
-        for j, i, rate in entries:
-            rows[j][i] = rows[j].get(i, Fraction(0)) + rate
-        for i in range(n):
-            if diagonal[i]:
-                rows[i][i] = rows[i].get(i, Fraction(0)) + diagonal[i]
-        rhs = [Fraction(0)] * n
-        rows[0] = {i: Fraction(1) for i in range(n)}  # normalization
-        rhs[0] = Fraction(1)
-        pi = solve_linear_system(rows, rhs)
-        if pi is None or len(pi) < n:
-            raise StateSpaceTooLarge("stationary system is singular on this box")
-        probs = [float(p) for p in pi]
-        residual = 0.0
-    else:
-        rows_idx = [j for j, _, _ in entries] + list(range(n))
-        cols_idx = [i for _, i, _ in entries] + list(range(n))
-        vals = [r for _, _, r in entries] + diagonal
-        qt = scipy.sparse.csr_matrix(
-            (vals, (rows_idx, cols_idx)), shape=(n, n)
-        ).tolil()
-        qt[0, :] = 1.0
-        rhs = np.zeros(n)
-        rhs[0] = 1.0
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
-                pi = scipy.sparse.linalg.spsolve(qt.tocsr(), rhs)
-        except RuntimeError:  # SuperLU could not factorize the system
-            pi = None
-        if pi is None or not np.all(np.isfinite(pi)):
-            raise StateSpaceTooLarge("stationary system is singular on this box")
-        probs = [float(p) for p in pi]
-        q = scipy.sparse.csr_matrix(
-            (vals, (rows_idx, cols_idx)), shape=(n, n)
-        )
-        residual = float(np.max(np.abs(q @ np.array(probs))))
+    # Q^T pi = 0 with the first equation replaced by sum(pi) = 1
+    outflow = np.bincount(src, weights=rate, minlength=n)
+    rows = np.concatenate([dst, np.arange(n)])
+    cols = np.concatenate([src, np.arange(n)])
+    vals = np.concatenate([rate, -outflow])
+    qt = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    ones = scipy.sparse.csr_matrix(np.ones((1, n)))
+    system = scipy.sparse.vstack([ones, qt[1:]], format="csr")
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
+            pi = scipy.sparse.linalg.spsolve(system, rhs)
+    except RuntimeError:  # SuperLU could not factorize the system
+        pi = None
+    if pi is None or not np.all(np.isfinite(pi)):
+        raise StateSpaceTooLarge("stationary system is singular on this box")
+    residual = float(np.max(np.abs(qt @ pi)))
 
-    total = sum(probs)
-    probs = [p / total for p in probs]
+    probs = (pi / pi.sum()).tolist()
+    boundary = np.zeros(n, dtype=bool)
+    boundary[chain.src[~inside]] = True
     boundary_mass = sum(p for p, flag in zip(probs, boundary) if flag)
     return StationaryEstimate(
-        states=tuple(states),
+        states=tuple(map(tuple, chain.states.tolist())),
         probabilities=tuple(probs),
         method=TRUNCATED_CME,
         deficit=1.0 - sum(probs),
         boundary_mass=boundary_mass,
         truncation_flagged=boundary_mass > BOUNDARY_MASS_THRESHOLD,
         residual=residual,
+        interior_strongly_connected=connected,
+        interior_size=interior_size,
     )
 
 
@@ -268,25 +281,4 @@ def empirical_irreducibility_probe(net, bounds, cs=None, max_states=None):
     Interior states are those whose every positive-propensity transition
     stays inside the box; returns (strongly_connected, interior_size).
     """
-    if max_states is None:
-        max_states = DEFAULT_MAX_STATES
-    states = _enumerate_box(net, bounds, cs, max_states)
-    src, dst = [], []
-    interior = [True] * len(states)
-    for i, _, j in _box_transitions(net, states):
-        if j is None:
-            interior[i] = False
-        else:
-            src.append(i)
-            dst.append(j)
-    interior = np.array(interior, dtype=bool)
-    if not interior.any():
-        return True, 0
-    src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-    keep = interior[src] & interior[dst]
-    graph = scipy.sparse.csr_matrix(
-        (np.ones(int(keep.sum()), dtype=np.int32), (src[keep], dst[keep])),
-        shape=(len(states), len(states)),
-    )
-    _, labels = connected_components(graph, directed=True, connection="strong")
-    return len(np.unique(labels[interior])) == 1, int(interior.sum())
+    return _interior_probe(_build_chain(net, bounds, cs, max_states))

@@ -29,7 +29,6 @@ from .network import (
 )
 from .oracle import (
     batch_means,
-    empirical_irreducibility_probe,
     gillespie_simulate,
     time_average,
     truncated_cme_stationary,
@@ -231,16 +230,13 @@ def _run_oracle(mode, net, cs, seed, max_states):
         per_dim = max(int(budget ** (1.0 / d_u)) - 1, 1)
         per_dim = min(per_dim, 60)
         bounds = [per_dim] * d_u
-        connected, interior = empirical_irreducibility_probe(
-            net, bounds, cs, max_states=max_states
-        )
         est = truncated_cme_stationary(net, bounds, cs, max_states=max_states)
         means = [est.mean(i) for i in range(net.num_species)]
         return {
             "mode": "cme",
             "box": bounds,
-            "interior_strongly_connected": connected,
-            "interior_size": interior,
+            "interior_strongly_connected": est.interior_strongly_connected,
+            "interior_size": est.interior_size,
             "stationary_means": means,
             "boundary_mass": est.boundary_mass,
             "truncation_flagged": est.truncation_flagged,

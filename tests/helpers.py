@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the code paths they check: the LFP
 oracle is an exhaustive rational grid search, lattice equality is decided
-through canonical forms plus exact determinants, and reachability is BFS.
+through canonical forms plus exact determinants, reachability is BFS, and
+the truncated CME chain is walked state by state and solved in rationals.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ergocheck import LfpProblem, RationalMatrix
+from ergocheck import LfpProblem, RationalMatrix, propensity
+from ergocheck.linalg import rref
 
 
 def det_exact(dense):
@@ -205,3 +207,50 @@ def bfs_reachability(z):
             seen |= frontier
         out.append([int(v) for v in seen])
     return out
+
+
+def box_states(net, bounds, cs=None):
+    """States of the truncated space in the oracle's order: the box over
+    the unconserved species, each crossed with every conserved state."""
+    conserved = cs is not None and cs.d_c > 0
+    ranges = [range(b + 1) for b in bounds[: cs.d_u if conserved else net.num_species]]
+    tails = cs.conserved_states if conserved else ((),)
+    return [tuple(u) + tuple(e) for u in itertools.product(*ranges) for e in tails]
+
+
+def box_transitions(net, states):
+    """(i, k, j) for every reaction k that fires in state i (x >= nu_k
+    component-wise) and moves it: j is the index of the target state, or
+    None when the target leaves the box.  Self-loops are dropped."""
+    index = {s: i for i, s in enumerate(states)}
+    out = []
+    for i, x in enumerate(states):
+        for k, r in enumerate(net.reactions):
+            if any(xi < vi for xi, vi in zip(x, r.reactants)):
+                continue
+            j = index.get(tuple(xi + z for xi, z in zip(x, r.displacement)))
+            if j != i:
+                out.append((i, k, j))
+    return out
+
+
+def exact_stationary(net, states):
+    """Exact stationary distribution of the reflecting-truncated chain:
+    Q^T pi = 0 with the first equation replaced by sum(pi) = 1, solved as
+    the RREF of the augmented system.  None when the system is singular
+    (some variable is left without a pivot)."""
+    n = len(states)
+    rows = [{} for _ in range(n)]
+    for i, k, j in box_transitions(net, states):
+        if j is None:
+            continue
+        lam = propensity(net, k, states[i])
+        rows[j][i] = rows[j].get(i, 0) + lam
+        rows[i][i] = rows[i].get(i, 0) - lam
+    rows[0] = {i: Fraction(1) for i in range(n)}
+    rows[0][n] = Fraction(1)
+    rows = [{c: v for c, v in row.items() if v != 0} for row in rows]
+    pivots, reduced = rref(RationalMatrix(n, n + 1, rows))
+    if list(pivots) != list(range(n)):
+        return None
+    return [row.get(n, Fraction(0)) for row in reduced]

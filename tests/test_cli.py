@@ -46,14 +46,19 @@ class TestExitCodes:
         assert "UNSUPPORTED" in result.output
 
     def test_singular_cme_box_is_an_input_error(self, runner, tmp_path):
-        # two absorbing species: the float CME solve on the box is singular
         p = tmp_path / "s.crn"
-        p.write_text("2*A -> 0 ; 1\n2*B -> 0 ; 1\n")
         args = ("--oracle", "cme", "--format", "json", "--no-timings")
-        result = run(runner, "analyze", str(p), *args)
-        assert result.exit_code == 3
-        assert "NaN" not in result.stdout
-        assert "stationary system is singular on this box" in result.stderr
+        for text in (
+            # two absorbing species: several absorbing states on the box
+            "2*A -> 0 ; 1\n2*B -> 0 ; 1\n",
+            # parity kept by paired births and deaths: two closed classes
+            "0 -> 2*S ; 1\n2*S -> 0 ; 1\n",
+        ):
+            p.write_text(text)
+            result = run(runner, "analyze", str(p), *args)
+            assert result.exit_code == 3
+            assert result.stdout == ""
+            assert "stationary system is singular on this box" in result.stderr
 
     def test_missing_file(self, runner, tmp_path):
         result = run(runner, "analyze", str(tmp_path / "nope.crn"))

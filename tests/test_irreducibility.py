@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from ergocheck import (
@@ -21,7 +22,7 @@ from ergocheck.irreducibility import (
     INCONCLUSIVE,
     IRREDUCIBLE_PROVEN,
     NECESSARY_CONDITION_FAILED,
-    _state_keys,
+    StateIndex,
     reachability_closure,
 )
 from helpers import bfs_reachability
@@ -211,7 +212,7 @@ class TestSparseClassAnalysis:
         text = f"A -> {big}*B ; 1\n" + (f"{big}*B -> A ; 1\n" if reverse else "")
         net, cs = conserved_setup(text, (2 * big,))
         assert cs.n_c == 3
-        assert _state_keys(cs)[0].dtype == object
+        assert StateIndex(np.array(cs.conserved_states)).states.dtype == object
         s = net.structure()
         analysis = conserved_class_analysis(s, cs, frozenset())
         edges, classes, closed, fireable = reference_classes(s, cs, frozenset())

@@ -13,7 +13,6 @@ from ergocheck import (
     rank,
     stoichiometry_matrix,
 )
-from ergocheck.linalg import solve_linear_system
 from helpers import det_exact, random_int_matrix
 
 
@@ -86,23 +85,6 @@ class TestNullSpaces:
                 assert m.matvec(v) == tuple([0] * m.nrows)
             for v in left_null_space(m):
                 assert m.transpose().matvec(v) == tuple([0] * m.ncols)
-
-    def test_solve_consistent_and_inconsistent(self):
-        a = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)}]
-        assert solve_linear_system(a, [Fraction(3), Fraction(6)]) is not None
-        assert solve_linear_system(a, [Fraction(3), Fraction(5)]) is None
-
-    def test_solve_returns_exact_solution(self):
-        rng = random.Random(13)
-        for _ in range(60):
-            m = random_int_matrix(rng)
-            x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.ncols)]
-            rhs = list(m.matvec(x))
-            sol = solve_linear_system([dict(r) for r in m.rows], rhs)
-            assert sol is not None
-            # width is inferred from the sparse rows; pad zero columns
-            padded = list(sol) + [Fraction(0)] * (m.ncols - len(sol))
-            assert m.matvec(padded) == tuple(rhs)
 
 
 def assert_valid_hnf(m, res):

@@ -1,23 +1,29 @@
 import math
+import random
 import time
 
 import pytest
 import scipy.sparse.linalg
 
+import ergocheck.oracle as oracle_mod
 from ergocheck import (
+    ErgocheckError,
     StateSpaceTooLarge,
     Trajectory,
+    analyze,
     batch_means,
     empirical_irreducibility_probe,
     enumerate_conserved_states,
     find_conservation_relations,
     gillespie_simulate,
     parse_network,
+    propensity,
     reorder_conserved_last,
     stoichiometry_matrix,
     time_average,
     truncated_cme_stationary,
 )
+from helpers import box_states, box_transitions, exact_stationary, random_network_text
 
 
 def poisson_pmf(lam, k):
@@ -161,8 +167,17 @@ class TestTruncatedStationary:
     def test_singular_float_solve_raises(self):
         # 0 and 1 are both absorbing: the truncated generator is singular
         net = parse_network("2*S -> 0 ; 1\n")
+        for box in ((60,), (2500,)):
+            with pytest.raises(StateSpaceTooLarge, match="singular"):
+                truncated_cme_stationary(net, box)
+
+    @pytest.mark.parametrize("box", [(60,), (2500,)])
+    def test_two_closed_classes_raise(self, box):
+        # births and deaths in pairs keep the parity: the even and the odd
+        # states are two closed classes, so the stationary law is not unique
+        net = parse_network("0 -> 2*S ; 1\n2*S -> 0 ; 1\n")
         with pytest.raises(StateSpaceTooLarge, match="singular"):
-            truncated_cme_stationary(net, (2500,))
+            truncated_cme_stationary(net, box)
 
     def test_failed_float_factorization_raises(self, bd_text, monkeypatch):
         # SuperLU raises instead of returning NaN on some singular systems
@@ -173,22 +188,6 @@ class TestTruncatedStationary:
         monkeypatch.setattr(scipy.sparse.linalg, "spsolve", fail)
         with pytest.raises(StateSpaceTooLarge, match="singular"):
             truncated_cme_stationary(parse_network(bd_text), (2500,))
-
-    def test_sparse_path_agrees_with_exact(self, bd_text):
-        net = parse_network(bd_text)
-        exact = truncated_cme_stationary(net, (30,))
-        # force the floating solver by shrinking the exact-solve window
-        import ergocheck.oracle as oracle_mod
-
-        old = oracle_mod.EXACT_SOLVE_LIMIT
-        oracle_mod.EXACT_SOLVE_LIMIT = 1
-        try:
-            sparse = truncated_cme_stationary(net, (30,))
-        finally:
-            oracle_mod.EXACT_SOLVE_LIMIT = old
-        for p, q in zip(exact.probabilities, sparse.probabilities):
-            assert p == pytest.approx(q, abs=1e-10)
-        assert sparse.residual <= 1e-10
 
     def test_conserved_product_space(self, oscillator_text):
         net, cs = oscillator_conserved(oscillator_text)
@@ -221,3 +220,97 @@ class TestIrreducibilityProbe:
         )
         assert connected
         assert size > 0
+
+
+def random_chain_cases(seed, count):
+    """(net, bounds, cs) for seeded random networks on small boxes; totals
+    are drawn for every network with conservation relations."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        net = parse_network(random_network_text(rng))
+        try:
+            gammas = find_conservation_relations(stoichiometry_matrix(net))
+        except ErgocheckError:  # relations outside the method's scope
+            continue
+        net, cs = reorder_conserved_last(net, gammas)
+        if cs.d_c:
+            cs = enumerate_conserved_states(
+                cs, tuple(rng.randint(0, 3) for _ in cs.gammas)
+            )
+            if not cs.n_c:
+                continue
+        else:
+            cs = None
+        d_u = cs.d_u if cs is not None else net.num_species
+        n_c = cs.n_c if cs is not None else 1
+        bounds = tuple(rng.randint(0, 4) for _ in range(d_u))
+        if math.prod(b + 1 for b in bounds) * n_c <= 120:
+            cases.append((net, bounds, cs))
+    return cases
+
+
+def big_weight_case():
+    # the relation 10**20 A + B: conserved coordinates far beyond int64
+    big = 10**20
+    net = parse_network(f"0 -> X ; 1\nX -> 0 ; 1\nA -> {big}*B ; 1\n")
+    gammas = find_conservation_relations(stoichiometry_matrix(net))
+    net, cs = reorder_conserved_last(net, gammas)
+    return net, (3,), enumerate_conserved_states(cs, (2 * big,))
+
+
+class TestChainBuilder:
+    """The array-built chain against the state-by-state reference walk and
+    an exact rational stationary solve."""
+
+    CASES = random_chain_cases(31, 60) + [big_weight_case()]
+
+    def test_matches_reference_walk(self):
+        for net, bounds, cs in self.CASES:
+            states = box_states(net, bounds, cs)
+            chain = oracle_mod._build_chain(net, bounds, cs, None)
+            assert [tuple(s) for s in chain.states.tolist()] == states
+            got = [
+                (i, k, j if j >= 0 else None)
+                for i, k, j in zip(
+                    chain.src.tolist(), chain.reaction.tolist(), chain.dst.tolist()
+                )
+            ]
+            # the reference lists by (i, k), which is unique; j may be None
+            assert sorted(got, key=lambda t: t[:2]) == box_transitions(net, states)
+            for i, k, rate in zip(chain.src, chain.reaction, chain.rate):
+                expected = float(propensity(net, int(k), states[i]))
+                assert abs(rate - expected) <= 1e-15 * expected
+
+    def test_stationary_matches_exact_solve(self):
+        singular = []
+        for net, bounds, cs in self.CASES:
+            states = box_states(net, bounds, cs)
+            exact = exact_stationary(net, states)
+            singular.append(exact is None)
+            if exact is None:  # other than one closed class
+                with pytest.raises(StateSpaceTooLarge, match="singular"):
+                    truncated_cme_stationary(net, bounds, cs)
+                continue
+            est = truncated_cme_stationary(net, bounds, cs)
+            assert est.states == tuple(states)
+            for p, q in zip(est.probabilities, exact):
+                assert abs(p - q) <= 1e-10
+            probe = empirical_irreducibility_probe(net, bounds, cs)
+            assert (est.interior_strongly_connected, est.interior_size) == probe
+        assert any(singular) and not all(singular)
+        assert any(cs is not None for _, _, cs in self.CASES)
+        assert any(cs is None for _, _, cs in self.CASES)
+
+    def test_analyze_builds_the_chain_once(self, bd_text, monkeypatch):
+        calls = []
+        build = oracle_mod._build_chain
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(oracle_mod, "_build_chain", counting)
+        report = analyze(bd_text, oracle="cme")
+        assert len(calls) == 1
+        assert report.oracle["interior_strongly_connected"]
