@@ -1,16 +1,20 @@
 """Desk-scale empirical cross-validation.
 
-Gillespie direct-method trajectories, ergodic time averages with
-batch-means standard errors, and the finite-state projection of the CME
-(Munsky & Khammash 2006) on a box: the truncated chain is built once as
-arrays, its stationary distribution comes from one sparse floating-point
-solve (a box whose chain has other than one closed class is reported as
-singular instead of solved) and its interior is probed for strong
-connectivity.
+Gillespie direct-method trajectories, updated after each jump along the
+reaction dependency graph and reproducible bit for bit from a seed;
+ergodic time averages with batch-means standard errors, summed as arrays
+in state order so every float equals a state-by-state loop's; and the
+finite-state projection of the CME (Munsky & Khammash 2006) on a box: the
+truncated chain is built once as arrays, its stationary distribution
+comes from one sparse floating-point solve (a box whose chain has other
+than one closed class is reported as singular instead of solved) and its
+interior is probed for strong connectivity.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import warnings
 from collections import namedtuple
@@ -58,32 +62,49 @@ class StationaryEstimate:
 
 
 def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
-    """Direct-method SSA; deterministic for a fixed seed."""
+    """Direct-method SSA; deterministic for a fixed seed.
+
+    After a jump only the propensities that depend on a species the fired
+    reaction changed are recomputed (the dependency graph of Gibson & Bruck,
+    J. Phys. Chem. A 104, 2000).  Each one takes the same float operations
+    in the same order as a full sweep, the total and the chosen reaction
+    come from one running sum in reaction order, and the RNG is drawn in
+    the same order, so a seed fixes the trajectory bit for bit.
+    """
     rng = np.random.default_rng(seed)
     rates = [float(r.rate) for r in net.reactions]
-    reactants = [r.reactants for r in net.reactions]
-    displacements = [r.displacement for r in net.reactions]
-    x = tuple(int(v) for v in x0)
+    needs = [[(i, v) for i, v in enumerate(r.reactants) if v] for r in net.reactions]
+    moves = [[(i, z) for i, z in enumerate(r.displacement) if z] for r in net.reactions]
+    # reactions whose propensity reads a species that reaction k changes
+    affected = [
+        [j for j, need in enumerate(needs) if any(delta[i] for i, _ in need)]
+        for delta in (r.displacement for r in net.reactions)
+    ]
+    initial = tuple(int(v) for v in x0)
+    x = list(initial)
+
+    def rate_of(k):
+        p = rates[k]
+        for i, v in needs[k]:
+            xi = x[i]
+            for step in range(v):
+                p *= xi - step
+            for step in range(2, v + 1):
+                p /= step
+            if p <= 0.0:
+                return 0.0
+        return p
+
+    props = [rate_of(k) for k in range(net.num_reactions)]
+    last = net.num_reactions - 1
     t = 0.0
     times = [0.0]
-    states = [x]
-    steps = 0
+    fired = []
     while True:
-        props = []
-        total = 0.0
-        for k in range(net.num_reactions):
-            p = rates[k]
-            for xi, vi in zip(x, reactants[k]):
-                if vi:
-                    for step in range(vi):
-                        p *= xi - step
-                    for step in range(2, vi + 1):
-                        p /= step
-                    if p <= 0.0:
-                        p = 0.0
-                        break
-            props.append(p)
-            total += p
+        # running sums in reaction order; never sum(), which compensates
+        # on Python 3.12+, nor np.sum, which is pairwise
+        cumulative = list(itertools.accumulate(props))
+        total = cumulative[-1] if cumulative else 0.0
         if total > RATE_GUARD:
             raise PropensityOverflow(f"total rate {total:g} exceeds guard")
         if total == 0.0:
@@ -91,38 +112,54 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
         t += rng.exponential(1.0 / total)
         if t >= t_end:
             break
-        u = rng.random() * total
-        acc = 0.0
-        chosen = net.num_reactions - 1
-        for k, p in enumerate(props):
-            acc += p
-            if u < acc:
-                chosen = k
-                break
-        x = tuple(xi + z for xi, z in zip(x, displacements[chosen]))
+        k = min(bisect.bisect_right(cumulative, rng.random() * total), last)
+        for i, z in moves[k]:
+            x[i] += z
+        for j in affected[k]:
+            props[j] = rate_of(j)
         times.append(t)
-        states.append(x)
-        steps += 1
-        if max_steps is not None and steps >= max_steps:
+        fired.append(k)
+        if max_steps is not None and len(fired) >= max_steps:
             break
     return Trajectory(
         times=tuple(times),
-        states=tuple(states),
-        initial_state=tuple(int(v) for v in x0),
+        states=_visited_states(net, initial, fired),
+        initial_state=initial,
         seed=seed,
         t_end=float(t_end),
     )
 
 
+def _visited_states(net, x0, fired):
+    """x0, then x0 plus the running sum of the fired reactions'
+    displacements, as tuples of Python ints.  The sum runs in int64 when no
+    state can leave its range and over Python ints otherwise."""
+    rows = [r.displacement for r in net.reactions]
+    reach = max(map(abs, x0), default=0) + len(fired) * max(
+        (abs(z) for row in rows for z in row), default=0
+    )
+    dtype = np.int64 if reach < 2**63 else object
+    steps = np.array(rows, dtype=dtype).reshape(len(rows), len(x0))
+    fired = np.array(fired, dtype=np.intp)
+    path = np.vstack([np.array([x0], dtype=dtype), steps[fired]])
+    # tuples straight from the columns: no list per state in between
+    return tuple(zip(*np.cumsum(path, axis=0).T.tolist()))
+
+
 def time_average(traj, f):
     """Time-weighted average of f over the trajectory, final partial
-    holding interval included."""
-    total = 0.0
-    for i, state in enumerate(traj.states):
-        start = traj.times[i]
-        end = traj.times[i + 1] if i + 1 < len(traj.times) else traj.t_end
-        total += f(state) * (end - start)
-    return total / traj.t_end
+    holding interval included.
+
+    f is called once per state.  When it returns a sequence, the average
+    of each component is returned as a list.  The weighted values are
+    added in state order from 0.0, as a loop over the states would.
+    """
+    times = np.array(traj.times)
+    values = np.array([f(s) for s in traj.states], dtype=float)
+    weighted = values.T * (np.append(times[1:], traj.t_end) - times)
+    # a loop's sum starts at 0.0, which turns an all -0.0 sum into 0.0
+    total = np.cumsum(weighted, axis=-1)[..., -1] + 0.0
+    return (total / traj.t_end).tolist()
 
 
 def batch_means(traj, f, num_batches=20):
@@ -130,22 +167,20 @@ def batch_means(traj, f, num_batches=20):
 
     Batch means tame trajectory autocorrelation; the standard error of
     their mean is a valid uncertainty estimate for the overall average.
+    Each holding interval is split at the window edges it crosses, and the
+    pieces are added to the window sums in state order.
     """
     edges = np.linspace(0.0, traj.t_end, num_batches + 1)
+    times = np.array(traj.times)
+    values = np.array([f(s) for s in traj.states], dtype=float)
+    # the pieces lie between consecutive jump times and edges; each is held
+    # by the last state that starts at or before it
+    cuts = np.union1d(times, edges)
+    lo, hi = cuts[:-1], cuts[1:]
+    state = np.searchsorted(times, lo, side="right") - 1
+    window = np.searchsorted(edges, lo, side="right") - 1
     sums = np.zeros(num_batches)
-    times = list(traj.times) + [traj.t_end]
-    for i, state in enumerate(traj.states):
-        start, end = times[i], times[i + 1]
-        if end <= start:
-            continue
-        value = f(state)
-        b0 = min(int(np.searchsorted(edges, start, side="right")) - 1, num_batches - 1)
-        b1 = min(int(np.searchsorted(edges, end, side="left")) - 1, num_batches - 1)
-        for b in range(max(b0, 0), b1 + 1):
-            lo = max(start, edges[b])
-            hi = min(end, edges[b + 1])
-            if hi > lo:
-                sums[b] += value * (hi - lo)
+    np.add.at(sums, window, values[state] * (hi - lo))
     width = traj.t_end / num_batches
     means = sums / width
     se = float(np.std(means, ddof=1) / np.sqrt(num_batches))

@@ -15,10 +15,17 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from . import drift as drift_mod
 from . import irreducibility as irr_mod
-from .errors import MissingTotals, OverlappingConservation, UnsupportedReactionOrder
+from .errors import (
+    MissingTotals,
+    OverlappingConservation,
+    StateSpaceTooLarge,
+    UnsupportedReactionOrder,
+)
 from .network import (
     DEFAULT_MAX_STATES,
     enumerate_conserved_states,
@@ -42,6 +49,13 @@ UNSUPPORTED = "UNSUPPORTED"
 DRIFT_CERTIFIED = "certified"
 DRIFT_INFEASIBLE = "infeasible"
 DRIFT_SKIPPED = "skipped"
+
+SSA_T_END = 500.0
+# CME box budgets in states.  The sparse LU's fill grows with the number of
+# unconserved dimensions: on the oscillator (five of them, four conserved
+# states) 31,104 states took minutes and 2.6 GB, 4,096 about a second.
+CME_STATES = 50000
+CME_STATES_HIGH_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -193,41 +207,58 @@ def _initial_states(net, cs, variant):
     return tuple(base)
 
 
+def _box_side(budget, d):
+    """Largest m with m**d <= budget (the float root, corrected by one)."""
+    m = int(budget ** (1.0 / d))
+    m += (m + 1) ** d <= budget
+    return m - (m**d > budget)
+
+
+def _ssa_run(net, cs, x0, seed, max_states):
+    """One SSA trajectory from x0, summarised as (run, conservation_kept);
+    the trajectory itself is dropped on return."""
+    traj = gillespie_simulate(net, x0, SSA_T_END, seed, max_steps=max_states)
+    jumps = len(traj.states) - 1
+    if jumps >= max_states:
+        raise StateSpaceTooLarge(
+            f"SSA trajectory reached the bound of {max_states} jumps "
+            f"before t = {SSA_T_END:g}"
+        )
+    kept = True
+    if cs is not None:
+        states = np.array(traj.states, dtype=object)  # exact integers
+        for gamma in cs.gammas:
+            amounts = states @ np.array(gamma, dtype=object)
+            kept = kept and not (amounts != amounts[0]).any()
+    _, se = batch_means(traj, lambda s: s[0])
+    run = {
+        "initial_state": list(x0),
+        "seed": traj.seed,
+        "jumps": jumps,
+        "time_averages": time_average(traj, lambda s: s),
+        "first_species_se": se,
+    }
+    return run, kept
+
+
 def _run_oracle(mode, net, cs, seed, max_states):
     if mode == "ssa":
         runs = []
         constant = True
         for variant in (0, 1):
             x0 = _initial_states(net, cs, variant)
-            traj = gillespie_simulate(net, x0, 500.0, seed + variant)
-            if cs is not None:
-                for gamma in cs.gammas:
-                    ref = sum(g * x for g, x in zip(gamma, traj.states[0]))
-                    for state in traj.states:
-                        if sum(g * x for g, x in zip(gamma, state)) != ref:
-                            constant = False
-            averages = [
-                time_average(traj, lambda s, i=i: s[i])
-                for i in range(net.num_species)
-            ]
-            _, se = batch_means(traj, lambda s: s[0])
-            runs.append(
-                {
-                    "initial_state": list(x0),
-                    "seed": traj.seed,
-                    "jumps": len(traj.states) - 1,
-                    "time_averages": averages,
-                    "first_species_se": se,
-                }
-            )
+            run, kept = _ssa_run(net, cs, x0, seed + variant, max_states)
+            runs.append(run)
+            constant = constant and kept
         return {"mode": "ssa", "runs": runs, "conservation_constant": constant}
     if mode == "cme":
         d_u = cs.d_u if cs is not None else net.num_species
         n_c = max(cs.n_c, 1) if cs is not None else 1
-        budget = min(max_states, 50000) // n_c
+        cap = CME_STATES if d_u <= 2 else CME_STATES_HIGH_DIM
+        budget = min(max_states, cap) // n_c
         if d_u == 0 or budget < 2:
             return {"mode": "cme", "skipped": "state budget too small"}
-        per_dim = max(int(budget ** (1.0 / d_u)) - 1, 1)
+        per_dim = max(_box_side(budget, d_u) - 1, 1)
         per_dim = min(per_dim, 60)
         bounds = [per_dim] * d_u
         est = truncated_cme_stationary(net, bounds, cs, max_states=max_states)

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the code paths they check: the LFP
 oracle is an exhaustive rational grid search, lattice equality is decided
 through canonical forms plus exact determinants, reachability is BFS, and
-the truncated CME chain is walked state by state and solved in rationals.
+the truncated CME chain is walked state by state and solved in rationals,
+and the SSA references recompute every propensity on every jump and sum
+time averages state by state.
 """
 
 from __future__ import annotations
@@ -14,8 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from ergocheck import LfpProblem, RationalMatrix, propensity
+from ergocheck import (
+    LfpProblem,
+    PropensityOverflow,
+    RationalMatrix,
+    Trajectory,
+    propensity,
+)
 from ergocheck.linalg import rref
+from ergocheck.oracle import RATE_GUARD
 
 
 def det_exact(dense):
@@ -254,3 +263,99 @@ def exact_stationary(net, states):
     if list(pivots) != list(range(n)):
         return None
     return [row.get(n, Fraction(0)) for row in reduced]
+
+
+# --- SSA references: one full propensity sweep per jump ----------------
+
+
+def gillespie_reference(net, x0, t_end, seed, max_steps=None):
+    """Direct-method SSA that recomputes all K propensities on every jump
+    and sums them in reaction order; the same RNG draws in the same order
+    as `gillespie_simulate`."""
+    rng = np.random.default_rng(seed)
+    rates = [float(r.rate) for r in net.reactions]
+    reactants = [r.reactants for r in net.reactions]
+    displacements = [r.displacement for r in net.reactions]
+    x = tuple(int(v) for v in x0)
+    t = 0.0
+    times = [0.0]
+    states = [x]
+    steps = 0
+    while True:
+        props = []
+        total = 0.0
+        for k in range(net.num_reactions):
+            p = rates[k]
+            for xi, vi in zip(x, reactants[k]):
+                if vi:
+                    for step in range(vi):
+                        p *= xi - step
+                    for step in range(2, vi + 1):
+                        p /= step
+                    if p <= 0.0:
+                        p = 0.0
+                        break
+            props.append(p)
+            total += p
+        if total > RATE_GUARD:
+            raise PropensityOverflow(f"total rate {total:g} exceeds guard")
+        if total == 0.0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t >= t_end:
+            break
+        u = rng.random() * total
+        acc = 0.0
+        chosen = net.num_reactions - 1
+        for k, p in enumerate(props):
+            acc += p
+            if u < acc:
+                chosen = k
+                break
+        x = tuple(xi + z for xi, z in zip(x, displacements[chosen]))
+        times.append(t)
+        states.append(x)
+        steps += 1
+        if max_steps is not None and steps >= max_steps:
+            break
+    return Trajectory(
+        times=tuple(times),
+        states=tuple(states),
+        initial_state=tuple(int(v) for v in x0),
+        seed=seed,
+        t_end=float(t_end),
+    )
+
+
+def time_average_reference(traj, f):
+    """Time-weighted average of f, one holding interval at a time."""
+    total = 0.0
+    for i, state in enumerate(traj.states):
+        start = traj.times[i]
+        end = traj.times[i + 1] if i + 1 < len(traj.times) else traj.t_end
+        total += f(state) * (end - start)
+    return total / traj.t_end
+
+
+def batch_means_reference(traj, f, num_batches=20):
+    """Batch means over equal windows, each holding interval split at the
+    window edges it crosses, added to the window sums in state order."""
+    edges = np.linspace(0.0, traj.t_end, num_batches + 1)
+    sums = np.zeros(num_batches)
+    times = list(traj.times) + [traj.t_end]
+    for i, state in enumerate(traj.states):
+        start, end = times[i], times[i + 1]
+        if end <= start:
+            continue
+        value = f(state)
+        b0 = min(int(np.searchsorted(edges, start, side="right")) - 1, num_batches - 1)
+        b1 = min(int(np.searchsorted(edges, end, side="left")) - 1, num_batches - 1)
+        for b in range(max(b0, 0), b1 + 1):
+            lo = max(start, edges[b])
+            hi = min(end, edges[b + 1])
+            if hi > lo:
+                sums[b] += value * (hi - lo)
+    width = traj.t_end / num_batches
+    means = sums / width
+    se = float(np.std(means, ddof=1) / np.sqrt(num_batches))
+    return means, se

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -233,6 +234,25 @@ class TestStateBoundOverride:
             env={"ERGOCHECK_MAX_STATES": "100"},
         )
         assert result.exit_code == 3
+
+    def test_env_variable_bounds_ssa_jumps(self, runner, tmp_path):
+        p = tmp_path / "fast.crn"
+        p.write_text("0 -> S ; 1000\nS -> 0 ; 1\n")
+        start = time.perf_counter()
+        result = run(
+            runner,
+            "analyze",
+            str(p),
+            "--oracle",
+            "ssa",
+            "--format",
+            "json",
+            env={"ERGOCHECK_MAX_STATES": "10000"},
+        )
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "jumps" in result.stderr
 
     def test_bad_env_value(self, runner):
         result = run(

@@ -8,6 +8,7 @@ import scipy.sparse.linalg
 import ergocheck.oracle as oracle_mod
 from ergocheck import (
     ErgocheckError,
+    PropensityOverflow,
     StateSpaceTooLarge,
     Trajectory,
     analyze,
@@ -23,7 +24,16 @@ from ergocheck import (
     time_average,
     truncated_cme_stationary,
 )
-from helpers import box_states, box_transitions, exact_stationary, random_network_text
+from ergocheck.report import CME_STATES_HIGH_DIM, _box_side
+from helpers import (
+    batch_means_reference,
+    box_states,
+    box_transitions,
+    exact_stationary,
+    gillespie_reference,
+    random_network_text,
+    time_average_reference,
+)
 
 
 def poisson_pmf(lam, k):
@@ -129,6 +139,103 @@ class TestTimeAverages:
         assert abs(mean - 1.0) <= max(3 * se, 0.05)
 
 
+def ssa_cases(seed, count):
+    """(net, x0, t_end, seed, max_steps) on seeded random networks (some
+    with conservation relations, second-order reactions and fractional
+    rates), plus hand-picked edge cases."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        net = parse_network(random_network_text(rng))
+        x0 = tuple(rng.randint(0, 4) for _ in net.species)
+        cases.append((net, x0, 20.0, rng.randrange(2**31), rng.choice([40, 2000])))
+    bd = "0 -> S ; 1\nS -> 0 ; 1\n"
+    death = "S -> 0 ; 1\n"
+    for text, x0, t_end, sim_seed, max_steps in [
+        (bd, (0,), 200.0, 1, None),  # cut at t_end
+        (bd, (0,), 1e9, 2, 100),  # cut by max_steps
+        (death, (0,), 10.0, 3, None),  # absorbing start
+        (death, (6,), 1e3, 4, None),  # absorbed on the way
+        ("A + B -> 0 ; 1\n", (1, 0), 10.0, 5, None),
+        ("0 -> S ; 1/4\n2*S -> 0 ; 1/2\n2*S -> S ; 3\n", (9,), 50.0, 6, None),
+        # rates that are not dyadic: the order of the running sum shows
+        (
+            "0 -> S ; 0.7\n0 -> 2*S ; 0.1\nS -> 0 ; 0.3\n2*S -> S ; 1/7\nS -> 0 ; 1/3\n",
+            (4,), 50.0, 9, None,
+        ),
+        # states beyond int64: the visited states are summed over Python ints
+        (f"0 -> X ; 1\nX -> 0 ; 1\nA -> {10**19}*B ; 1\n", (0, 5, 0), 20.0, 7, None),
+        (death, (2**70,), 1.0, 8, None),  # rate guard
+    ]:
+        cases.append((parse_network(text), x0, t_end, sim_seed, max_steps))
+    return cases
+
+
+class TestReferenceSsa:
+    """The dependency-graph SSA and the array time averages against the
+    full-sweep loops in `helpers`: equal trajectories and equal floats."""
+
+    CASES = ssa_cases(17, 150)
+
+    def test_trajectories_and_averages_are_identical(self):
+        capped = absorbed = conserved = huge = guarded = 0
+        for net, x0, t_end, seed, max_steps in self.CASES:
+            args = (net, x0, t_end, seed, max_steps)
+            try:
+                ref = gillespie_reference(*args)
+            except PropensityOverflow:
+                with pytest.raises(PropensityOverflow):
+                    gillespie_simulate(*args)
+                guarded += 1
+                continue
+            traj = gillespie_simulate(*args)
+            assert traj == ref
+            # repr tells every float apart, -0.0 from 0.0 included
+            coordinates = [lambda s, i=i: s[i] for i in range(net.num_species)]
+            mixed = [lambda s: s[0] - 0.5 * s[-1], lambda s: -float(s[0])]
+            for f in coordinates + mixed:
+                average = time_average(traj, f)
+                assert repr(average) == repr(time_average_reference(ref, f))
+                means, se = batch_means(traj, f)
+                ref_means, ref_se = batch_means_reference(ref, f)
+                assert repr((means.tolist(), se)) == repr((ref_means.tolist(), ref_se))
+            assert repr(time_average(traj, lambda s: s)) == repr(
+                [time_average_reference(ref, f) for f in coordinates]
+            )
+            capped += len(traj.states) - 1 == max_steps
+            absorbed += len(traj.states) == 1
+            try:
+                conserved += bool(find_conservation_relations(stoichiometry_matrix(net)))
+            except ErgocheckError:  # relations exist but overlap
+                conserved += 1
+            huge += max(map(max, traj.states)) >= 2**63
+        assert capped and absorbed and conserved and huge and guarded
+
+    def test_repeated_times_and_times_on_window_edges(self):
+        # a zero holding interval (t + dt == t in floats) and jumps that land
+        # exactly on window edges (0.5, 1.0, 9.5 with 20 windows on [0, 10])
+        traj = Trajectory(
+            times=(0.0, 0.5, 0.5, 0.7, 1.0, 3.3, 9.5, 9.9),
+            states=((1,), (4,), (2,), (7,), (3,), (0,), (5,), (6,)),
+            initial_state=(1,),
+            seed=0,
+            t_end=10.0,
+        )
+        f = lambda s: s[0] / 3
+        assert repr(time_average(traj, f)) == repr(time_average_reference(traj, f))
+        means, se = batch_means(traj, f)
+        ref_means, ref_se = batch_means_reference(traj, f)
+        assert repr((means.tolist(), se)) == repr((ref_means.tolist(), ref_se))
+
+    def test_jump_budget_raises_quickly(self):
+        # jumps grow with the rate: 0 -> S at 1000 makes about 10**6 jumps
+        # by t = 500, and ten times the rate would exhaust memory
+        start = time.perf_counter()
+        with pytest.raises(StateSpaceTooLarge, match="jumps"):
+            analyze("0 -> S ; 1000\nS -> 0 ; 1\n", oracle="ssa", max_states=10**4)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestTruncatedStationary:
     def test_birth_death_is_poisson(self, bd_text):
         est = truncated_cme_stationary(parse_network(bd_text), (50,))
@@ -196,6 +303,27 @@ class TestTruncatedStationary:
         assert sum(est.probabilities) == pytest.approx(1.0)
         for s, p in zip(est.states, est.probabilities):
             assert s[5] + s[6] == 1 and s[7] + s[8] == 1
+
+
+class TestOracleBox:
+    def test_high_dimensional_box_is_small(self, oscillator_text):
+        # five unconserved dimensions: a 50,000-state budget gave 31,104
+        # states and a sparse LU that ran for minutes at 2.6 GB
+        start = time.perf_counter()
+        report = analyze(oscillator_text, totals=(1, 1), oracle="cme")
+        assert time.perf_counter() - start < 5.0
+        box = report.oracle["box"]
+        assert box == [3] * 5
+        states = math.prod(b + 1 for b in box) * report.conserved.n_c
+        assert states <= CME_STATES_HIGH_DIM
+
+    def test_box_side_is_the_integer_root(self):
+        for d in (1, 2):  # as the float root gave, so these boxes are unchanged
+            assert all(_box_side(b, d) == int(b ** (1.0 / d)) for b in range(2, 50001))
+        for d in range(3, 8):
+            for b in range(2, 50001, 7):
+                m = _box_side(b, d)
+                assert m**d <= b < (m + 1) ** d
 
 
 class TestIrreducibilityProbe:
