@@ -154,6 +154,8 @@ def time_average(traj, f):
     of each component is returned as a list.  The weighted values are
     added in state order from 0.0, as a loop over the states would.
     """
+    if traj.t_end == 0:  # as the division of a loop's Python float would
+        raise ZeroDivisionError("time average over a zero-length trajectory")
     times = np.array(traj.times)
     values = np.array([f(s) for s in traj.states], dtype=float)
     weighted = values.T * (np.append(times[1:], traj.t_end) - times)

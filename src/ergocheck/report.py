@@ -52,8 +52,9 @@ DRIFT_SKIPPED = "skipped"
 
 SSA_T_END = 500.0
 # CME box budgets in states.  The sparse LU's fill grows with the number of
-# unconserved dimensions: on the oscillator (five of them, four conserved
-# states) 31,104 states took minutes and 2.6 GB, 4,096 about a second.
+# unconserved dimensions: with three, 46,656 states took 28 s and 1.1 GB;
+# on the oscillator (five, four conserved states) 31,104 took minutes and
+# 2.6 GB, 4,096 about a second.
 CME_STATES = 50000
 CME_STATES_HIGH_DIM = 4096
 
@@ -207,21 +208,15 @@ def _initial_states(net, cs, variant):
     return tuple(base)
 
 
-def _box_side(budget, d):
-    """Largest m with m**d <= budget (the float root, corrected by one)."""
-    m = int(budget ** (1.0 / d))
-    m += (m + 1) ** d <= budget
-    return m - (m**d > budget)
-
-
 def _ssa_run(net, cs, x0, seed, max_states):
     """One SSA trajectory from x0, summarised as (run, conservation_kept);
     the trajectory itself is dropped on return."""
-    traj = gillespie_simulate(net, x0, SSA_T_END, seed, max_steps=max_states)
+    # one jump past the budget tells a capped run from one that ends at it
+    traj = gillespie_simulate(net, x0, SSA_T_END, seed, max_steps=max_states + 1)
     jumps = len(traj.states) - 1
-    if jumps >= max_states:
+    if jumps > max_states:
         raise StateSpaceTooLarge(
-            f"SSA trajectory reached the bound of {max_states} jumps "
+            f"SSA trajectory exceeded the bound of {max_states} jumps "
             f"before t = {SSA_T_END:g}"
         )
     kept = True
@@ -258,7 +253,7 @@ def _run_oracle(mode, net, cs, seed, max_states):
         budget = min(max_states, cap) // n_c
         if d_u == 0 or budget < 2:
             return {"mode": "cme", "skipped": "state budget too small"}
-        per_dim = max(_box_side(budget, d_u) - 1, 1)
+        per_dim = max(int(budget ** (1.0 / d_u)) - 1, 1)
         per_dim = min(per_dim, 60)
         bounds = [per_dim] * d_u
         est = truncated_cme_stationary(net, bounds, cs, max_states=max_states)

@@ -24,7 +24,7 @@ from ergocheck import (
     time_average,
     truncated_cme_stationary,
 )
-from ergocheck.report import CME_STATES_HIGH_DIM, _box_side
+from ergocheck.report import CME_STATES_HIGH_DIM
 from helpers import (
     batch_means_reference,
     box_states,
@@ -234,6 +234,20 @@ class TestReferenceSsa:
         with pytest.raises(StateSpaceTooLarge, match="jumps"):
             analyze("0 -> S ; 1000\nS -> 0 ; 1\n", oracle="ssa", max_states=10**4)
         assert time.perf_counter() - start < 1.0
+        # from (3,) three deaths absorb the chain: a run that ends exactly
+        # at the budget is kept
+        report = analyze("S -> 0 ; 1\n", oracle="ssa", max_states=3)
+        assert [run["jumps"] for run in report.oracle["runs"]] == [0, 3]
+        with pytest.raises(StateSpaceTooLarge, match="jumps"):
+            analyze("S -> 0 ; 1\n", oracle="ssa", max_states=2)
+
+    def test_zero_length_trajectory_has_no_time_average(self, bd_text):
+        traj = gillespie_simulate(parse_network(bd_text), (2,), 0.0, seed=1)
+        with pytest.raises(ZeroDivisionError):
+            time_average_reference(traj, lambda s: s[0])
+        for f in (lambda s: s[0], lambda s: s):
+            with pytest.raises(ZeroDivisionError):
+                time_average(traj, f)
 
 
 class TestTruncatedStationary:
@@ -316,14 +330,6 @@ class TestOracleBox:
         assert box == [3] * 5
         states = math.prod(b + 1 for b in box) * report.conserved.n_c
         assert states <= CME_STATES_HIGH_DIM
-
-    def test_box_side_is_the_integer_root(self):
-        for d in (1, 2):  # as the float root gave, so these boxes are unchanged
-            assert all(_box_side(b, d) == int(b ** (1.0 / d)) for b in range(2, 50001))
-        for d in range(3, 8):
-            for b in range(2, 50001, 7):
-                m = _box_side(b, d)
-                assert m**d <= b < (m + 1) ** d
 
 
 class TestIrreducibilityProbe:
