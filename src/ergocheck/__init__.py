@@ -44,7 +44,6 @@ from .linalg import (
     lattice_spans_full,
     left_null_space,
     null_space,
-    rank,
 )
 from .network import (
     ConservedStructure,

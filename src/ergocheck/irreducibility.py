@@ -9,7 +9,6 @@ construction run forwards and on the arrow-flipped structure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .lfp import LfpOutcome, LfpProblem, solve_lfp
 from .linalg import RationalMatrix, hermite_normal_form, lattice_spans_full
-from .network import inverse_structure, stoichiometry_matrix
+from .network import StateIndex, inverse_structure, stoichiometry_matrix  # noqa: F401
 
 IRREDUCIBLE_PROVEN = "IRREDUCIBLE_PROVEN"
 NECESSARY_CONDITION_FAILED = "NECESSARY_CONDITION_FAILED"
@@ -71,11 +70,11 @@ class IrreducibilityVerdict:
     failed_condition: str | None
     rank_value: int
     rank_required: int
-    lattice_ok: bool
-    hnf_pivots: tuple
-    lfp_outcome: LfpOutcome | None
-    forward_levels: LevelDecomposition | None
-    inverse_levels: LevelDecomposition | None
+    lattice_ok: bool = False
+    hnf_pivots: tuple = ()
+    lfp_outcome: LfpOutcome | None = None
+    forward_levels: LevelDecomposition | None = None
+    inverse_levels: LevelDecomposition | None = None
     class_analysis: ConservedClassAnalysis | None = None
     diagnostic: str = ""
 
@@ -116,54 +115,12 @@ def reachability_closure(z):
     return result
 
 
-class StateIndex:
-    """Rows of a 2-D integer state array, found by mixed-radix key.
-
-    The keys are injective on the box [0, top_c] spanned by the column
-    maxima, which holds every state.  The arrays are int64 when every key
-    fits and Python ints (dtype object) otherwise, so no coordinate or key
-    ever wraps.
-    """
-
-    def __init__(self, states):
-        top = [int(t) for t in states.max(axis=0, initial=0)]
-        place = [1] * len(top)
-        for c in range(len(top) - 2, -1, -1):
-            place[c] = place[c + 1] * (top[c + 1] + 1)
-        dtype = np.int64 if math.prod(t + 1 for t in top) < 2**62 else object
-        self.states = states.astype(dtype, copy=False)
-        self.top = top
-        self.place = place
-        self.keys = self.states @ np.array(place, dtype=dtype)
-        self.order = np.argsort(self.keys, kind="stable")
-
-    def targets(self, mask, delta):
-        """(i, j, found): the rows i where `mask` holds, and whether the
-        state i + delta is in the array, as row j when it is.
-
-        The caller guarantees i + delta >= 0 (a reaction that fires at i).
-        A target with a coordinate above its top is not found, even when
-        its key equals another state's key.
-        """
-        i = np.flatnonzero(mask)
-        if not len(i) or any(abs(dc) > t for dc, t in zip(delta, self.top)):
-            return i, i, np.zeros(len(i), dtype=bool)  # no target in the box
-        target = self.keys[i] + sum(dc * p for dc, p in zip(delta, self.place))
-        pos = np.searchsorted(self.keys, target, sorter=self.order)
-        j = self.order[np.minimum(pos, len(self.keys) - 1)]
-        found = self.keys[j] == target
-        for c, dc in enumerate(delta):
-            if dc > 0:
-                found &= self.states[i, c] <= self.top[c] - dc
-        return i, j, found
-
-
 def closed_classes(n, src, dst):
     """Strong components (Tarjan, via scipy) of the digraph on n nodes with
     edges src -> dst, as (labels, closed): a class is closed when no edge
     leaves it."""
     graph = scipy.sparse.csr_matrix(
-        (np.ones(len(src), dtype=np.int32), (src, dst)), shape=(n, n)
+        (np.ones(len(src)), (src, dst)), shape=(n, n)  # float64: scipy converts to it
     )
     n_classes, labels = connected_components(graph, directed=True, connection="strong")
     closed = np.ones(n_classes, dtype=bool)
@@ -179,31 +136,22 @@ def conserved_class_analysis(s, cs, available):
     found by key (self-loops dropped).  Classes are the strong components,
     ordered by smallest member.
     """
-    index = StateIndex(np.array(cs.conserved_states).reshape(cs.n_c, cs.d_c))
-    states, top = index.states, index.top
-    n_c = len(states)
     fires = {}
     src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for k, (nu, nu_p) in enumerate(s.pairs):
         bar, hat = _split(nu, cs.d_u)
         if any(c and i not in available for i, c in enumerate(bar)):
             continue
-        if any(h > t for h, t in zip(hat, top)):
-            continue  # demand exceeds every state
-        mask = np.ones(n_c, dtype=bool)
-        for c, h in enumerate(hat):
-            if h:
-                mask &= states[:, c] >= h
-        fires[k] = mask
+        fires[k] = mask = cs.index.meets(hat)
         delta = [hp - h for h, hp in zip(hat, nu_p[cs.d_u :])]
         if not any(delta):
             continue  # a self-loop everywhere
-        i, j, found = index.targets(mask, delta)
+        i, j, found = cs.index.targets(mask, delta)
         src.append(i[found])
         dst.append(j[found])
     src, dst = np.concatenate(src), np.concatenate(dst)
 
-    raw, closed = closed_classes(n_c, src, dst)
+    raw, closed = closed_classes(cs.n_c, src, dst)
     _, first = np.unique(raw, return_index=True)
     by_first = np.argsort(first)  # renumber by smallest member
     labels, closed = np.argsort(by_first)[raw], closed[by_first]
@@ -285,22 +233,6 @@ def _positive_flux_lfp(m):
     return LfpProblem.build([], [], [dict(r) for r in m.rows], [0] * m.nrows, k, [1] * k)
 
 
-def _verdict(status, failed, **kw):
-    defaults = dict(
-        rank_value=-1,
-        rank_required=-1,
-        lattice_ok=False,
-        hnf_pivots=(),
-        lfp_outcome=None,
-        forward_levels=None,
-        inverse_levels=None,
-        class_analysis=None,
-        diagnostic="",
-    )
-    defaults.update(kw)
-    return IrreducibilityVerdict(status=status, failed_condition=failed, **defaults)
-
-
 def check_irreducibility(net, cs=None):
     """Run the irreducibility pipeline and return a verdict with
     self-verifying sub-certificates.
@@ -327,7 +259,7 @@ def check_irreducibility(net, cs=None):
     rank_value = len(hnf.pivots)
     common = dict(rank_value=rank_value, rank_required=target_rank)
     if rank_value != target_rank:
-        return _verdict(
+        return IrreducibilityVerdict(
             NECESSARY_CONDITION_FAILED,
             "rank",
             diagnostic=f"rank {rank_value} < {target_rank}",
@@ -338,7 +270,7 @@ def check_irreducibility(net, cs=None):
     lattice_ok = lattice_spans_full(m_bar, target_rank, hnf=hnf)
     common.update(lattice_ok=lattice_ok, hnf_pivots=pivots)
     if not lattice_ok:
-        return _verdict(
+        return IrreducibilityVerdict(
             NECESSARY_CONDITION_FAILED,
             "lattice",
             diagnostic="integer column span is a proper sublattice",
@@ -347,8 +279,8 @@ def check_irreducibility(net, cs=None):
 
     analysis = None
     if conserved:
-        if not cs.conserved_states:
-            return _verdict(
+        if not cs.n_c:
+            return IrreducibilityVerdict(
                 NECESSARY_CONDITION_FAILED,
                 "eta",
                 diagnostic="EmptyConservedSpace: no conserved state matches the totals",
@@ -357,7 +289,7 @@ def check_irreducibility(net, cs=None):
         analysis = conserved_class_analysis(s, cs, frozenset(range(cs.d_u)))
         common.update(class_analysis=analysis)
         if analysis.num_classes != 1 or analysis.eta != 1:
-            return _verdict(
+            return IrreducibilityVerdict(
                 NECESSARY_CONDITION_FAILED,
                 "eta",
                 diagnostic=(
@@ -373,7 +305,7 @@ def check_irreducibility(net, cs=None):
     )
     common.update(forward_levels=forward)
     if not forward.exhaustive:
-        return _verdict(
+        return IrreducibilityVerdict(
             INCONCLUSIVE,
             "forward-exhaustive",
             diagnostic=f"species not producible from nothing: {sorted(forward.uncovered)}",
@@ -383,7 +315,7 @@ def check_irreducibility(net, cs=None):
     lfp_outcome = solve_lfp(_positive_flux_lfp(m_bar))
     common.update(lfp_outcome=lfp_outcome)
     if not lfp_outcome.feasible:
-        return _verdict(
+        return IrreducibilityVerdict(
             NECESSARY_CONDITION_FAILED,
             "lfp",
             diagnostic="no strictly positive flux vector with zero net effect",
@@ -396,7 +328,7 @@ def check_irreducibility(net, cs=None):
     )
     common.update(inverse_levels=inverse)
     if not inverse.exhaustive:
-        return _verdict(
+        return IrreducibilityVerdict(
             INCONCLUSIVE,
             "inverse-exhaustive",
             diagnostic=(
@@ -406,4 +338,4 @@ def check_irreducibility(net, cs=None):
             **common,
         )
 
-    return _verdict(IRREDUCIBLE_PROVEN, None, **common)
+    return IrreducibilityVerdict(IRREDUCIBLE_PROVEN, None, **common)

@@ -51,10 +51,6 @@ class RationalMatrix:
                     rows[i][j] = v
         return cls(nrows, len(columns), rows)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [{i: 1} for i in range(n)])
-
     def entry(self, i, j):
         return Fraction(self.rows[i].get(j, 0))
 
@@ -172,12 +168,6 @@ def _axpy(target, source, factor):
             target.pop(j, None)
         else:
             target[j] = new
-
-
-def rank(mat):
-    """Exact rank via fraction-free sparse elimination."""
-    pivots, _ = rref(mat)
-    return len(pivots)
 
 
 def null_space(mat):

@@ -13,11 +13,15 @@ Rates are parsed as exact rationals; ``0.5`` becomes 1/2 exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from .errors import (
     DuplicateSpecies,
@@ -107,6 +111,11 @@ class ConservedStructure:
     coordinates) whose supports are the trailing `d_c` species, one
     contiguous block per relation (`relation_slices`, offsets within the
     conserved block).  `permutation[new_index] = old_index`.
+
+    `conserved_states` is E_c for the `totals`: n_c x d_c, rows in
+    lexicographic order, int64 unless int64 could wrap (a total of 2^63 or
+    more; then dtype object).  The totals fix it, so == and hash skip it.
+    `index`, its StateIndex, is built once and shared by every analysis.
     """
 
     gammas: tuple
@@ -115,7 +124,7 @@ class ConservedStructure:
     permutation: tuple
     relation_slices: tuple
     totals: tuple | None = None
-    conserved_states: tuple | None = None
+    conserved_states: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def num_relations(self):
@@ -123,7 +132,69 @@ class ConservedStructure:
 
     @property
     def n_c(self):
-        return len(self.conserved_states) if self.conserved_states else 0
+        return 0 if self.conserved_states is None else len(self.conserved_states)
+
+    @functools.cached_property
+    def index(self):
+        return StateIndex(self.conserved_states)
+
+
+class StateIndex:
+    """Rows of a 2-D integer state array, found by mixed-radix key.
+
+    The keys are injective on the box [0, top_c] spanned by the column
+    maxima, which holds every state.  The arrays are int64 when every key
+    fits and Python ints (dtype object) otherwise, so no coordinate or key
+    ever wraps.
+    """
+
+    def __init__(self, states):
+        top = [int(t) for t in states.max(axis=0, initial=0)]
+        place = [1] * len(top)
+        for c in range(len(top) - 2, -1, -1):
+            place[c] = place[c + 1] * (top[c + 1] + 1)
+        dtype = np.int64 if math.prod(t + 1 for t in top) < 2**62 else object
+        self.states = states.astype(dtype, copy=False)
+        self.top = top
+        self.place = place
+        self.keys = self.states @ np.array(place, dtype=dtype)
+        self.order = np.argsort(self.keys, kind="stable")
+
+    def meets(self, demand):
+        """Mask of the states at or above `demand` in every coordinate,
+        where reactants `demand` can fire (none when it exceeds the box)."""
+        mask = np.ones(len(self.states), dtype=bool)
+        for c, h in enumerate(demand):
+            if h:
+                mask &= self.states[:, c] >= h
+        return mask
+
+    def targets(self, mask, delta):
+        """(i, j, found): the rows i where `mask` holds, and whether the
+        state i + delta is in the array, as row j when it is.
+
+        The caller guarantees i + delta >= 0 (a reaction that fires at i).
+        A target with a coordinate above its top is not found, even when
+        its key equals another state's key.
+        """
+        i = np.flatnonzero(mask)
+        if not len(i) or any(abs(dc) > t for dc, t in zip(delta, self.top)):
+            return i, i, np.zeros(len(i), dtype=bool)  # no target in the box
+        target = self.keys[i] + sum(dc * p for dc, p in zip(delta, self.place))
+        pos = np.searchsorted(self.keys, target, sorter=self.order)
+        j = self.order[np.minimum(pos, len(self.keys) - 1)]
+        found = self.keys[j] == target
+        for c, dc in enumerate(delta):
+            if dc > 0:
+                found &= self.states[i, c] <= self.top[c] - dc
+        return i, j, found
+
+
+def cross_rows(left, right):
+    """Each row of `left` joined to each row of `right`, left slowest."""
+    return np.hstack(
+        [np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))]
+    )
 
 
 def _parse_side(text, lineno, line):
@@ -413,38 +484,49 @@ def reorder_conserved_last(net, gammas):
     return new_net, cs
 
 
+def _residue_class(a, b, rest):
+    """Solutions of a x + b y = rest (integers or arrays of them) in
+    nonnegative integers: x runs over first, first + b / gcd(a, b), ...,
+    count values in all (count 0 when there is none)."""
+    g = gcd(a, b)
+    a, b, q = a // g, b // g, rest // g
+    first = q % b * pow(a, -1, b) % b  # least x with b | q - a x
+    count = (q // a - first) // b + 1  # 0 when first > q // a
+    return first, count * (rest % g == 0)
+
+
 def _relation_states(weights, total):
-    """Lexicographically ordered nonneg integer solutions of sum w_i x_i = C."""
-    if len(weights) == 1:
-        return [(total // weights[0],)] if total % weights[0] == 0 else []
-    return [
-        (v,) + rest
-        for v in range(total // weights[0] + 1)
-        for rest in _relation_states(weights[1:], total - v * weights[0])
-    ]
+    """Nonneg integer solutions of sum w_i x_i = C, one row each, in
+    lexicographic order.  Each coordinate runs over one residue class: the
+    values whose remainder the gcd of the later weights divides.  The
+    arithmetic is in Python ints (dtype object) when int64 could wrap."""
+    dtype = np.int64 if max(total, max(weights) ** 2) < 2**63 else object
+    rows, rest = np.zeros((1, 0), dtype=dtype), np.array([total], dtype=dtype)
+    for i, w in enumerate(weights[:-1]):
+        g = gcd(*weights[i + 1 :])
+        first, count = _residue_class(w, g, rest)
+        count = count.astype(np.int64)
+        owner = np.repeat(np.arange(len(count)), count)  # row per value
+        k = np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+        x = first[owner] + g // gcd(w, g) * k.astype(dtype)
+        rows, rest = np.column_stack([rows[owner], x]), rest[owner] - w * x
+    x = rest // weights[-1]
+    return np.column_stack([rows, x])[rest % weights[-1] == 0]
 
 
 def _count_relation_states(weights, total, cap):
     """Number of nonneg integer solutions of sum w_i x_i = C (some number
     above `cap` once it exceeds `cap`), without building any.  The last two
-    coordinates are counted in closed form: x_{n-2} runs over one residue
-    class modulo b / gcd(a, b)."""
+    coordinates are counted in closed form."""
     if len(weights) == 1:
         return int(total % weights[0] == 0)
     if len(weights) == 2:
-        a, b = weights
-        g = gcd(a, b)
-        if total % g:
-            return 0
-        a, b, total = a // g, b // g, total // g
-        first = total * pow(a, -1, b) % b  # least x with b | total - a x
-        return (total // a - first) // b + 1  # 0 when first > total // a
+        return _residue_class(*weights, total)[1]
     count = 0
     for v in range(total // weights[0] + 1):
         if count > cap:
             break
-        rest = total - v * weights[0]
-        count += _count_relation_states(weights[1:], rest, cap - count)
+        count += _count_relation_states(weights[1:], total - v * weights[0], cap - count)
     return count
 
 
@@ -460,6 +542,7 @@ def enumerate_conserved_states(cs, totals, max_states=DEFAULT_MAX_STATES):
         )
     if any(t < 0 for t in totals):
         raise InputError(f"conserved totals must be nonnegative, got {tuple(totals)}")
+    totals = tuple(int(t) for t in totals)
     weights = [
         g[cs.d_u + start : cs.d_u + end]
         for g, (start, end) in zip(cs.gammas, cs.relation_slices)
@@ -471,9 +554,9 @@ def enumerate_conserved_states(cs, totals, max_states=DEFAULT_MAX_STATES):
             raise StateSpaceTooLarge(
                 f"conserved state set exceeds bound {max_states}"
             )
-    per_relation = [_relation_states(w, total) for w, total in zip(weights, totals)]
-    combined = tuple(sum(parts, ()) for parts in itertools.product(*per_relation))
-    return replace(cs, totals=tuple(int(t) for t in totals), conserved_states=combined)
+    parts = [_relation_states(w, total) for w, total in zip(weights, totals)]
+    states = functools.reduce(cross_rows, parts, np.zeros((1, 0), dtype=np.int64))
+    return replace(cs, totals=totals, conserved_states=states)
 
 
 def inverse_structure(s):

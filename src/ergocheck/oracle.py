@@ -25,8 +25,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import PropensityOverflow, StateSpaceTooLarge
-from .irreducibility import StateIndex, closed_classes
-from .network import DEFAULT_MAX_STATES
+from .irreducibility import closed_classes
+from .network import DEFAULT_MAX_STATES, StateIndex, cross_rows
 
 RATE_GUARD = 1e15
 BOUNDARY_MASS_THRESHOLD = 1e-8
@@ -212,24 +212,15 @@ def _build_chain(net, bounds, cs, max_states):
         )
     box = np.indices(shape).reshape(len(shape), math.prod(shape)).T
     if conserved:
-        tails = np.array(cs.conserved_states).reshape(cs.n_c, cs.d_c)
-        box = np.hstack(
-            [np.repeat(box, len(tails), axis=0), np.tile(tails, (len(box), 1))]
-        )
+        box = cross_rows(box, cs.conserved_states)
     index = StateIndex(box)
     x = index.states
     empty = np.empty(0, dtype=np.intp)
     edges = [(empty, empty, empty, np.empty(0))]  # typed even with no transition
     for k, r in enumerate(net.reactions):
-        if not any(r.displacement) or any(
-            v > t for v, t in zip(r.reactants, index.top)
-        ):
-            continue  # a self-loop everywhere, or fires nowhere in the box
-        mask = np.ones(len(x), dtype=bool)
-        for c, v in enumerate(r.reactants):
-            if v:
-                mask &= x[:, c] >= v
-        i, j, found = index.targets(mask, r.displacement)
+        if not any(r.displacement):
+            continue  # a self-loop everywhere
+        i, j, found = index.targets(index.meets(r.reactants), r.displacement)
         falling = np.ones(len(i))
         for c, v in enumerate(r.reactants):
             if v:

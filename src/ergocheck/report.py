@@ -23,6 +23,7 @@ from . import irreducibility as irr_mod
 from .errors import (
     MissingTotals,
     OverlappingConservation,
+    PropensityOverflow,
     StateSpaceTooLarge,
     UnsupportedReactionOrder,
 )
@@ -175,7 +176,10 @@ def analyze(
     oracle_data = None
     if oracle != "off":
         start = time.perf_counter()
-        oracle_data = _run_oracle(oracle, net, cs, seed, max_states)
+        try:
+            oracle_data = _run_oracle(oracle, net, cs, seed, max_states)
+        except (StateSpaceTooLarge, PropensityOverflow) as exc:
+            oracle_data = {"mode": oracle, "error": str(exc)}  # the verdict stands
         timings["oracle"] = time.perf_counter() - start
 
     return ErgodicityReport(
@@ -201,11 +205,10 @@ def verify(text, witness, totals=None, **kw):
 
 def _initial_states(net, cs, variant):
     d_u = cs.d_u if cs is not None else net.num_species
-    base = [0] * d_u if variant == 0 else [3] * d_u
-    if cs is not None and cs.d_c > 0:
-        e = cs.conserved_states[0 if variant == 0 else -1]
-        return tuple(base) + tuple(e)
-    return tuple(base)
+    x0 = [0 if variant == 0 else 3] * d_u
+    if cs is not None and cs.d_c > 0:  # as Python ints, which JSON needs
+        x0 += cs.conserved_states[0 if variant == 0 else -1].tolist()
+    return tuple(x0)
 
 
 def _ssa_run(net, cs, x0, seed, max_states):

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the code paths they check: the LFP
 oracle is an exhaustive rational grid search, lattice equality is decided
 through canonical forms plus exact determinants, reachability is BFS, and
 the truncated CME chain is walked state by state and solved in rationals,
-and the SSA references recompute every propensity on every jump and sum
+conserved states are enumerated as tuples by recursion, and the SSA
+references recompute every propensity on every jump and sum
 time averages state by state.
 """
 
@@ -218,12 +219,34 @@ def bfs_reachability(z):
     return out
 
 
+def relation_states_reference(weights, total):
+    """Lexicographically ordered nonneg integer solutions of
+    sum w_i x_i = C as tuples, by recursion on the first coordinate."""
+    if len(weights) == 1:
+        return [(total // weights[0],)] if total % weights[0] == 0 else []
+    return [
+        (v,) + rest
+        for v in range(total // weights[0] + 1)
+        for rest in relation_states_reference(weights[1:], total - v * weights[0])
+    ]
+
+
+def conserved_states_reference(cs, totals):
+    """E_c as a tuple of tuples: the product over relations (the first
+    relation varying slowest) of each relation's solutions."""
+    per_relation = [
+        relation_states_reference(g[cs.d_u + start : cs.d_u + end], total)
+        for g, (start, end), total in zip(cs.gammas, cs.relation_slices, totals)
+    ]
+    return tuple(sum(parts, ()) for parts in itertools.product(*per_relation))
+
+
 def box_states(net, bounds, cs=None):
     """States of the truncated space in the oracle's order: the box over
     the unconserved species, each crossed with every conserved state."""
     conserved = cs is not None and cs.d_c > 0
     ranges = [range(b + 1) for b in bounds[: cs.d_u if conserved else net.num_species]]
-    tails = cs.conserved_states if conserved else ((),)
+    tails = cs.conserved_states.tolist() if conserved else ((),)
     return [tuple(u) + tuple(e) for u in itertools.product(*ranges) for e in tails]
 
 

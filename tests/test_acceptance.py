@@ -99,7 +99,7 @@ def test_criterion_1_oscillator_end_to_end(oscillator_text):
     assert with_2.classes[0] == frozenset(range(cs.n_c))
     without_2 = conserved_class_analysis(s, cs, frozenset({0, 2, 3, 4}))
     (closed,) = without_2.closed_classes()
-    assert {cs.conserved_states[i] for i in closed} == {(1, 0, 1, 0)}
+    assert {tuple(cs.conserved_states[i].tolist()) for i in closed} == {(1, 0, 1, 0)}
 
     assert elapsed < 1.0, f"runtime {elapsed:.3f}s >= 1s"
     _ok(1, f"oscillator proven ergodic with exact structure in {elapsed:.3f}s")

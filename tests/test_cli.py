@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from ergocheck import parse_report
-from ergocheck.cli import INTERNAL_ERROR_EXIT, main
+from ergocheck.cli import EXIT_CODES, INTERNAL_ERROR_EXIT, main
 from conftest import DATA
 
 
@@ -46,20 +46,39 @@ class TestExitCodes:
         assert result.exit_code == 4
         assert "UNSUPPORTED" in result.output
 
-    def test_singular_cme_box_is_an_input_error(self, runner, tmp_path):
+    def test_singular_cme_box_is_recorded_in_the_report(self, runner, tmp_path):
         p = tmp_path / "s.crn"
         args = ("--oracle", "cme", "--format", "json", "--no-timings")
-        for text in (
+        for text, verdict in (
             # two absorbing species: several absorbing states on the box
-            "2*A -> 0 ; 1\n2*B -> 0 ; 1\n",
+            ("2*A -> 0 ; 1\n2*B -> 0 ; 1\n", "IRREDUCIBILITY_DISPROVEN"),
             # parity kept by paired births and deaths: two closed classes
-            "0 -> 2*S ; 1\n2*S -> 0 ; 1\n",
+            ("0 -> 2*S ; 1\n2*S -> 0 ; 1\n", "IRREDUCIBILITY_DISPROVEN"),
+            ((DATA / "cascade_open.crn").read_text(), "INCONCLUSIVE"),
         ):
             p.write_text(text)
             result = run(runner, "analyze", str(p), *args)
-            assert result.exit_code == 3
-            assert result.stdout == ""
-            assert "stationary system is singular on this box" in result.stderr
+            data = parse_report(result.stdout)
+            assert data["verdict"] == verdict
+            assert result.exit_code == EXIT_CODES[verdict]
+            assert data["oracle"] == {
+                "mode": "cme",
+                "error": "stationary system is singular on this box",
+            }
+            assert result.stderr == ""
+
+    def test_propensity_overflow_is_recorded_in_the_report(self, runner, tmp_path):
+        p = tmp_path / "fast.crn"
+        p.write_text("0 -> S ; 10000000000000000\nS -> 0 ; 1\n")
+        args = ("--oracle", "ssa", "--format", "json", "--no-timings")
+        result = run(runner, "analyze", str(p), *args)
+        assert result.exit_code == 0
+        data = parse_report(result.stdout)
+        assert data["verdict"] == "PROVEN_ERGODIC"
+        assert data["oracle"] == {
+            "mode": "ssa",
+            "error": "total rate 1e+16 exceeds guard",
+        }
 
     def test_missing_file(self, runner, tmp_path):
         result = run(runner, "analyze", str(tmp_path / "nope.crn"))
@@ -250,9 +269,10 @@ class TestStateBoundOverride:
             env={"ERGOCHECK_MAX_STATES": "10000"},
         )
         assert time.perf_counter() - start < 1.0
-        assert result.exit_code == 3
-        assert result.stdout == ""
-        assert "jumps" in result.stderr
+        assert result.exit_code == 0  # the verdict's code: the proof stands
+        oracle = parse_report(result.stdout)["oracle"]
+        assert oracle["mode"] == "ssa"
+        assert "jumps" in oracle["error"]
 
     def test_bad_env_value(self, runner):
         result = run(

@@ -94,7 +94,9 @@ class TestConservedClasses:
         closed = analysis.closed_classes()
         assert len(closed) == 1
         (members,) = closed
-        assert {cs.conserved_states[i] for i in members} == {(1, 0, 1, 0)}
+        assert {tuple(cs.conserved_states[i].tolist()) for i in members} == {
+            (1, 0, 1, 0)
+        }
         assert analysis.num_classes > 1
 
     def test_oscillator_with_repressor_available(self, oscillator_text):
@@ -121,7 +123,7 @@ def reference_classes(s, cs, available):
     """Edges, classes, closed flags and the reactions fireable in each closed
     class, from a dense Z(A) built state by state with fireable_reactions,
     and BFS."""
-    states = cs.conserved_states
+    states = [tuple(e) for e in cs.conserved_states.tolist()]
     index = {e: i for i, e in enumerate(states)}
     n = len(states)
     z = [[0] * n for _ in range(n)]
@@ -212,7 +214,8 @@ class TestSparseClassAnalysis:
         text = f"A -> {big}*B ; 1\n" + (f"{big}*B -> A ; 1\n" if reverse else "")
         net, cs = conserved_setup(text, (2 * big,))
         assert cs.n_c == 3
-        assert StateIndex(np.array(cs.conserved_states)).states.dtype == object
+        assert cs.conserved_states.dtype == object
+        assert cs.index.states.dtype == object
         s = net.structure()
         analysis = conserved_class_analysis(s, cs, frozenset())
         edges, classes, closed, fireable = reference_classes(s, cs, frozenset())
@@ -221,6 +224,42 @@ class TestSparseClassAnalysis:
         assert analysis.closed_flags == closed
         assert analysis.closed_fireable == fireable
         assert analysis.num_classes == (1 if reverse else 3)
+
+
+class TestStateIndex:
+    def test_meets_matches_a_row_scan(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            states = np.array(
+                [[rng.randint(0, 4) for _ in range(3)] for _ in range(rng.randint(1, 30))]
+            )
+            demand = [rng.randint(0, 5) for _ in range(3)]
+            mask = StateIndex(states).meets(demand)
+            assert mask.tolist() == [
+                all(x >= h for x, h in zip(row, demand)) for row in states.tolist()
+            ]
+
+    @pytest.mark.parametrize("oracle,built", [("off", 1), ("cme", 2)])
+    def test_analyze_indexes_the_conserved_states_once(
+        self, oscillator_text, monkeypatch, oracle, built
+    ):
+        # the class check and every forward and inverse level share one
+        # index; the CME chain adds one for its box
+        calls = []
+        init = StateIndex.__init__
+
+        def counting(self, states):
+            calls.append(len(states))
+            init(self, states)
+
+        monkeypatch.setattr(StateIndex, "__init__", counting)
+        report = analyze(oscillator_text, totals=(1, 1), oracle=oracle)
+        assert report.verdict == "PROVEN_ERGODIC"
+        irr = report.irreducibility
+        # one class analysis for the check and one per level: six in all
+        assert len(irr.forward_levels.levels) + len(irr.inverse_levels.levels) == 5
+        assert len(calls) == built
+        assert calls[0] == report.conserved.n_c == 4
 
 
 class TestLevels:

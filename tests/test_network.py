@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,8 @@ from ergocheck import (
     stoichiometry_matrix,
 )
 from ergocheck.errors import InputError
-from helpers import random_network_text
+from ergocheck.network import ConservedStructure
+from helpers import conserved_states_reference, random_network_text
 
 
 class TestParsing:
@@ -211,21 +213,23 @@ class TestConservedStates:
     def test_pair_total_one(self):
         cs = self._cs("A -> B ; 1\nB -> A ; 1\n")
         cs = enumerate_conserved_states(cs, (1,))
-        assert cs.conserved_states == ((0, 1), (1, 0))
+        assert cs.conserved_states.tolist() == [[0, 1], [1, 0]]
+        assert cs.conserved_states.dtype == np.int64
         assert cs.n_c == 2
 
     def test_product_over_relations(self, oscillator_text):
         cs = self._cs(oscillator_text)
         cs = enumerate_conserved_states(cs, (1, 1))
         assert cs.n_c == 4
-        assert set(cs.conserved_states) == {
+        assert set(map(tuple, cs.conserved_states.tolist())) == {
             (a, 1 - a, b, 1 - b) for a in (0, 1) for b in (0, 1)
         }
 
     def test_weighted_enumeration_matches_brute_force(self):
         cs = self._cs("A -> 2*B ; 1\n2*B -> A ; 1\n")
         for total in range(7):
-            got = set(enumerate_conserved_states(cs, (total,)).conserved_states)
+            states = enumerate_conserved_states(cs, (total,)).conserved_states
+            got = set(map(tuple, states.tolist()))
             brute = {
                 (a, b)
                 for a in range(total + 1)
@@ -238,7 +242,8 @@ class TestConservedStates:
         # weights (2, 3): total 1 has no nonnegative solution
         cs = self._cs("2*B -> 3*A ; 1\n3*A -> 2*B ; 1\n")
         assert sorted(cs.gammas[0]) in ([2, 3],)
-        assert enumerate_conserved_states(cs, (1,)).conserved_states == ()
+        states = enumerate_conserved_states(cs, (1,)).conserved_states
+        assert states.shape == (0, 2)
 
     def test_totals_count_checked(self, oscillator_text):
         cs = self._cs(oscillator_text)
@@ -281,6 +286,76 @@ class TestConservedStates:
                 assert at_bound.n_c == n_c
                 with pytest.raises(StateSpaceTooLarge):
                     enumerate_conserved_states(cs, (total,), max_states=n_c - 1)
+
+
+def random_relations(rng):
+    """A conserved structure of 1-3 relations, each over 1-4 species with
+    weights 1-5, after one unconserved species."""
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    d_c = sum(sizes)
+    gammas, slices, start = [], [], 0
+    for size in sizes:
+        gamma = [0] * (1 + d_c)
+        for c in range(start, start + size):
+            gamma[1 + c] = rng.randint(1, 5)
+        gammas.append(tuple(gamma))
+        slices.append((start, start + size))
+        start += size
+    return ConservedStructure(
+        gammas=tuple(gammas),
+        d_u=1,
+        d_c=d_c,
+        permutation=tuple(range(1 + d_c)),
+        relation_slices=tuple(slices),
+    )
+
+
+def random_total(rng, weights):
+    """0, a small total, or for a one-species relation a total at or
+    above 2^63, which may or may not be a multiple of the weight."""
+    kind = rng.random()
+    if kind < 0.15:
+        return 0
+    if len(weights) == 1 and kind < 0.4:
+        return weights[0] * 2**63 + rng.choice([0, 0, 1])
+    return rng.randint(1, 9)
+
+
+class TestArrayEnumeration:
+    """The array enumeration against the tuple recursion it replaced:
+    same rows in the same order."""
+
+    def test_matches_tuple_enumeration(self):
+        rng = random.Random(6)
+        seen = {"empty": 0, "zero": 0, "object": 0, "int64": 0, "prefix": 0}
+        checked = 0
+        while checked < 400:
+            cs = random_relations(rng)
+            weights = [
+                g[cs.d_u + start : cs.d_u + end]
+                for g, (start, end) in zip(cs.gammas, cs.relation_slices)
+            ]
+            totals = tuple(random_total(rng, w) for w in weights)
+            # at most comb(t + n - 1, n - 1) solutions over n species
+            bound = math.prod(
+                math.comb(t + len(w) - 1, len(w) - 1) if t < 2**63 else 1
+                for w, t in zip(weights, totals)
+            )
+            if bound > 20000:
+                continue  # keep the tuple reference fast
+            expected = conserved_states_reference(cs, totals)
+            states = enumerate_conserved_states(cs, totals).conserved_states
+            assert [tuple(row) for row in states.tolist()] == list(expected)
+            assert states.shape == (len(expected), cs.d_c)
+            big = max(totals) >= 2**63
+            assert states.dtype == (object if big else np.int64)
+            seen["empty"] += not expected
+            seen["zero"] += 0 in totals
+            seen["object"] += big and bool(expected)
+            seen["int64"] += not big and bool(expected)
+            seen["prefix"] += any(len(w) > 2 for w in weights) and bool(expected)
+            checked += 1
+        assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_inverse_structure_is_an_involution(oscillator_text):

@@ -231,15 +231,19 @@ class TestReferenceSsa:
         # jumps grow with the rate: 0 -> S at 1000 makes about 10**6 jumps
         # by t = 500, and ten times the rate would exhaust memory
         start = time.perf_counter()
-        with pytest.raises(StateSpaceTooLarge, match="jumps"):
-            analyze("0 -> S ; 1000\nS -> 0 ; 1\n", oracle="ssa", max_states=10**4)
+        report = analyze("0 -> S ; 1000\nS -> 0 ; 1\n", oracle="ssa", max_states=10**4)
         assert time.perf_counter() - start < 1.0
+        assert report.verdict == "PROVEN_ERGODIC"
+        assert "jumps" in report.oracle["error"]
         # from (3,) three deaths absorb the chain: a run that ends exactly
         # at the budget is kept
         report = analyze("S -> 0 ; 1\n", oracle="ssa", max_states=3)
         assert [run["jumps"] for run in report.oracle["runs"]] == [0, 3]
-        with pytest.raises(StateSpaceTooLarge, match="jumps"):
-            analyze("S -> 0 ; 1\n", oracle="ssa", max_states=2)
+        report = analyze("S -> 0 ; 1\n", oracle="ssa", max_states=2)
+        assert report.oracle == {
+            "mode": "ssa",
+            "error": "SSA trajectory exceeded the bound of 2 jumps before t = 500",
+        }
 
     def test_zero_length_trajectory_has_no_time_average(self, bd_text):
         traj = gillespie_simulate(parse_network(bd_text), (2,), 0.0, seed=1)
