@@ -7,6 +7,7 @@ report is printed).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import click
 
+from . import __version__
 from .errors import InputError, InternalCheckFailed, StateSpaceTooLarge, WitnessRejected
 from .network import DEFAULT_MAX_STATES
 from .report import (
@@ -37,12 +39,13 @@ INTERNAL_ERROR_EXIT = 5
 
 def _max_states():
     raw = os.environ.get("ERGOCHECK_MAX_STATES")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise InputError(f"bad ERGOCHECK_MAX_STATES value {raw!r}") from None
-    return DEFAULT_MAX_STATES
+    try:
+        bound = int(raw) if raw else DEFAULT_MAX_STATES
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise InputError(f"bad ERGOCHECK_MAX_STATES value {raw!r}")
+    return bound
 
 
 def _parse_totals(raw):
@@ -123,7 +126,7 @@ _common = [
         show_default=True,
         help="Optional empirical cross-check appended to the report.",
     ),
-    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True),
     click.option(
         "--no-timings", is_flag=True, help="Omit timings (deterministic output)."
     ),
@@ -136,8 +139,25 @@ def _with_common(func):
     return func
 
 
-@click.group()
-@click.version_option()
+@contextlib.contextmanager
+def _usage_errors_as_input_errors():
+    """Usage errors (a bad option value, a missing argument) exit with the
+    input-error code; click's own, 2, is IRREDUCIBILITY_DISPROVEN's."""
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = INPUT_ERROR_EXIT
+        raise
+
+
+class _Group(click.Group):
+    # the group's own arguments, then the subcommand's
+    make_context = _usage_errors_as_input_errors()(click.Group.make_context)
+    invoke = _usage_errors_as_input_errors()(click.Group.invoke)
+
+
+@click.group(cls=_Group)
+@click.version_option(__version__)
 def main():
     """Prove ergodicity of stochastic mass-action reaction networks."""
 

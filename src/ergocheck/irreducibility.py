@@ -37,11 +37,9 @@ class LevelDecomposition:
 @dataclass(frozen=True, eq=False)
 class ConservedClassAnalysis:
     """Transition structure of the conserved chain for a given
-    available-species set A: the edges of Z(A), its equivalence classes
-    (strong components) and which of them are closed."""
+    available-species set A: the equivalence classes (strong components)
+    of Z(A) and which of them are closed."""
 
-    available: frozenset
-    edges: np.ndarray  # (m, 2) state-index pairs i -> j with i != j
     labels: np.ndarray  # class of every state; classes ordered by smallest member
     closed_flags: tuple
     closed_fireable: tuple  # per closed class: reactions fireable at some member
@@ -129,12 +127,12 @@ def closed_classes(n, src, dst):
 
 
 def conserved_class_analysis(s, cs, available):
-    """Edges of Z(A), equivalence classes and closed classes of the conserved
-    chain for the available-species set A, in O(n_c + edges) memory.
+    """Equivalence classes and closed classes of the conserved chain for
+    the available-species set A, in O(n_c + edges) memory.
 
     Per reaction: a mask of the states where it fires, and its targets
-    found by key (self-loops dropped).  Classes are the strong components,
-    ordered by smallest member.
+    found by key (self-loops dropped); the edges of Z(A) live only for the
+    strong components.  Classes are ordered by smallest member.
     """
     fires = {}
     src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
@@ -164,8 +162,6 @@ def conserved_class_analysis(s, cs, available):
         for slot in np.flatnonzero(hit[closed_ids]):
             fireable[slot].add(k)
     return ConservedClassAnalysis(
-        available=frozenset(available),
-        edges=np.stack([src, dst], axis=1),
         labels=labels,
         closed_flags=tuple(bool(flag) for flag in closed),
         closed_fireable=tuple(frozenset(f) for f in fireable),

@@ -1,18 +1,21 @@
 """Desk-scale empirical cross-validation.
 
 Gillespie direct-method trajectories, updated after each jump along the
-reaction dependency graph and reproducible bit for bit from a seed;
-ergodic time averages with batch-means standard errors, summed as arrays
-in state order so every float equals a state-by-state loop's; and the
-finite-state projection of the CME (Munsky & Khammash 2006) on a box: the
-truncated chain is built once as arrays, its stationary distribution
-comes from one sparse floating-point solve (a box whose chain has other
-than one closed class is reported as singular instead of solved) and its
-interior is probed for strong connectivity.
+reaction dependency graph and reproducible bit for bit from a seed, kept
+as a float array of jump times and one integer array of visited states;
+ergodic time averages of every species and batch-means standard errors of
+one, read from the state array's columns and summed in state order so
+every float equals a state-by-state loop's; and the finite-state
+projection of the CME (Munsky & Khammash 2006) on a box: the truncated
+chain is built once as arrays, its stationary distribution comes from one
+sparse floating-point solve (a box whose chain has other than one closed
+class is reported as singular instead of solved) and its interior is
+probed for strong connectivity.
 """
 
 from __future__ import annotations
 
+import array
 import bisect
 import itertools
 import math
@@ -31,34 +34,29 @@ from .network import DEFAULT_MAX_STATES, StateIndex, cross_rows
 RATE_GUARD = 1e15
 BOUNDARY_MASS_THRESHOLD = 1e-8
 
-TRUNCATED_CME = "TRUNCATED_CME"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    times: tuple  # jump times, strictly increasing
-    states: tuple  # state after each jump; states[0] is the initial state at t=0
-    initial_state: tuple
+    times: np.ndarray  # float jump times from 0.0, strictly increasing
+    # (jumps + 1) x d integers, int64 or object when int64 could wrap: the
+    # state after each jump; states[0] is the initial state at t=0
+    states: np.ndarray
     seed: int
     t_end: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryEstimate:
-    states: tuple
-    probabilities: tuple
-    method: str
-    deficit: float = 0.0
+    states: np.ndarray  # one row per state of the truncated chain
+    probabilities: np.ndarray
     boundary_mass: float = 0.0
     truncation_flagged: bool = False
-    residual: float = 0.0
     interior_strongly_connected: bool = True
     interior_size: int = 0
 
     def mean(self, coordinate=0):
-        return sum(
-            p * s[coordinate] for s, p in zip(self.states, self.probabilities)
-        )
+        # Python's sum, in state order
+        return sum((self.probabilities * self.states[:, coordinate]).tolist())
 
 
 def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
@@ -73,12 +71,13 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
     """
     rng = np.random.default_rng(seed)
     rates = [float(r.rate) for r in net.reactions]
+    rows = [r.displacement for r in net.reactions]
     needs = [[(i, v) for i, v in enumerate(r.reactants) if v] for r in net.reactions]
-    moves = [[(i, z) for i, z in enumerate(r.displacement) if z] for r in net.reactions]
+    moves = [[(i, z) for i, z in enumerate(row) if z] for row in rows]
     # reactions whose propensity reads a species that reaction k changes
     affected = [
         [j for j, need in enumerate(needs) if any(delta[i] for i, _ in need)]
-        for delta in (r.displacement for r in net.reactions)
+        for delta in rows
     ]
     initial = tuple(int(v) for v in x0)
     x = list(initial)
@@ -98,8 +97,8 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
     props = [rate_of(k) for k in range(net.num_reactions)]
     last = net.num_reactions - 1
     t = 0.0
-    times = [0.0]
-    fired = []
+    times = array.array("d", [0.0])  # 8 bytes a jump, not a float object
+    fired = array.array("q")
     while True:
         # running sums in reaction order; never sum(), which compensates
         # on Python 3.12+, nor np.sum, which is pairwise
@@ -121,51 +120,38 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
         fired.append(k)
         if max_steps is not None and len(fired) >= max_steps:
             break
-    return Trajectory(
-        times=tuple(times),
-        states=_visited_states(net, initial, fired),
-        initial_state=initial,
-        seed=seed,
-        t_end=float(t_end),
-    )
-
-
-def _visited_states(net, x0, fired):
-    """x0, then x0 plus the running sum of the fired reactions'
-    displacements, as tuples of Python ints.  The sum runs in int64 when no
-    state can leave its range and over Python ints otherwise."""
-    rows = [r.displacement for r in net.reactions]
-    reach = max(map(abs, x0), default=0) + len(fired) * max(
+    # the visited states: the initial one plus the running sum of the fired
+    # displacements, in int64 when no state and no displacement can leave
+    # its range and over Python ints (dtype object) otherwise
+    reach = max(map(abs, initial), default=0) + max(len(fired), 1) * max(
         (abs(z) for row in rows for z in row), default=0
     )
     dtype = np.int64 if reach < 2**63 else object
-    steps = np.array(rows, dtype=dtype).reshape(len(rows), len(x0))
-    fired = np.array(fired, dtype=np.intp)
-    path = np.vstack([np.array([x0], dtype=dtype), steps[fired]])
-    # tuples straight from the columns: no list per state in between
-    return tuple(zip(*np.cumsum(path, axis=0).T.tolist()))
+    steps = np.array(rows, dtype=dtype).reshape(len(rows), len(initial))
+    path = np.vstack([np.array([initial], dtype=dtype), steps[np.asarray(fired)]])
+    np.cumsum(path, axis=0, out=path)
+    return Trajectory(times=np.array(times), states=path, seed=seed, t_end=float(t_end))
 
 
-def time_average(traj, f):
-    """Time-weighted average of f over the trajectory, final partial
-    holding interval included.
+def time_average(traj):
+    """Time-weighted average of every species over the trajectory, final
+    partial holding interval included, as a list.
 
-    f is called once per state.  When it returns a sequence, the average
-    of each component is returned as a list.  The weighted values are
-    added in state order from 0.0, as a loop over the states would.
+    The weighted counts are added in state order from 0.0, as a loop over
+    the states would.
     """
     if traj.t_end == 0:  # as the division of a loop's Python float would
         raise ZeroDivisionError("time average over a zero-length trajectory")
-    times = np.array(traj.times)
-    values = np.array([f(s) for s in traj.states], dtype=float)
-    weighted = values.T * (np.append(times[1:], traj.t_end) - times)
+    held = np.append(traj.times[1:], traj.t_end) - traj.times
+    weighted = traj.states.T.astype(float) * held
     # a loop's sum starts at 0.0, which turns an all -0.0 sum into 0.0
-    total = np.cumsum(weighted, axis=-1)[..., -1] + 0.0
+    total = np.cumsum(weighted, axis=1)[:, -1] + 0.0
     return (total / traj.t_end).tolist()
 
 
-def batch_means(traj, f, num_batches=20):
-    """Per-batch time averages over equal windows of [0, t_end].
+def batch_means(traj, species, num_batches=20):
+    """Per-batch time averages of one species over equal windows of
+    [0, t_end].
 
     Batch means tame trajectory autocorrelation; the standard error of
     their mean is a valid uncertainty estimate for the overall average.
@@ -173,8 +159,8 @@ def batch_means(traj, f, num_batches=20):
     pieces are added to the window sums in state order.
     """
     edges = np.linspace(0.0, traj.t_end, num_batches + 1)
-    times = np.array(traj.times)
-    values = np.array([f(s) for s in traj.states], dtype=float)
+    times = traj.times
+    values = traj.states[:, species].astype(float)
     # the pieces lie between consecutive jump times and edges; each is held
     # by the last state that starts at or before it
     cuts = np.union1d(times, edges)
@@ -284,20 +270,15 @@ def truncated_cme_stationary(net, bounds, cs=None, max_states=None):
         pi = None
     if pi is None or not np.all(np.isfinite(pi)):
         raise StateSpaceTooLarge("stationary system is singular on this box")
-    residual = float(np.max(np.abs(qt @ pi)))
 
-    probs = (pi / pi.sum()).tolist()
-    boundary = np.zeros(n, dtype=bool)
-    boundary[chain.src[~inside]] = True
-    boundary_mass = sum(p for p, flag in zip(probs, boundary) if flag)
+    probs = pi / pi.sum()
+    # Python's sum, in state order, over the states with a dropped transition
+    boundary_mass = sum(probs[np.unique(chain.src[~inside])].tolist())
     return StationaryEstimate(
-        states=tuple(map(tuple, chain.states.tolist())),
-        probabilities=tuple(probs),
-        method=TRUNCATED_CME,
-        deficit=1.0 - sum(probs),
+        states=chain.states,
+        probabilities=probs,
         boundary_mass=boundary_mass,
         truncation_flagged=boundary_mass > BOUNDARY_MASS_THRESHOLD,
-        residual=residual,
         interior_strongly_connected=connected,
         interior_size=interior_size,
     )

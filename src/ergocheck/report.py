@@ -224,16 +224,18 @@ def _ssa_run(net, cs, x0, seed, max_states):
         )
     kept = True
     if cs is not None:
-        states = np.array(traj.states, dtype=object)  # exact integers
+        states = traj.states  # nonnegative, as are the gammas
+        if int(states.max(initial=1)) * max(map(sum, cs.gammas)) >= 2**63:
+            states = states.astype(object)  # an int64 sum could wrap
         for gamma in cs.gammas:
-            amounts = states @ np.array(gamma, dtype=object)
+            amounts = states @ np.array(gamma, dtype=states.dtype)
             kept = kept and not (amounts != amounts[0]).any()
-    _, se = batch_means(traj, lambda s: s[0])
+    _, se = batch_means(traj, 0)
     run = {
         "initial_state": list(x0),
         "seed": traj.seed,
         "jumps": jumps,
-        "time_averages": time_average(traj, lambda s: s),
+        "time_averages": time_average(traj),
         "first_species_se": se,
     }
     return run, kept

@@ -11,6 +11,7 @@ time averages state by state.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 from fractions import Fraction
@@ -21,7 +22,6 @@ from ergocheck import (
     LfpProblem,
     PropensityOverflow,
     RationalMatrix,
-    Trajectory,
     propensity,
 )
 from ergocheck.linalg import rref
@@ -291,6 +291,12 @@ def exact_stationary(net, states):
 # --- SSA references: one full propensity sweep per jump ----------------
 
 
+# times and states as tuples, one tuple of Python ints per state
+ReferenceTrajectory = collections.namedtuple(
+    "ReferenceTrajectory", "times states seed t_end"
+)
+
+
 def gillespie_reference(net, x0, t_end, seed, max_steps=None):
     """Direct-method SSA that recomputes all K propensities on every jump
     and sums them in reaction order; the same RNG draws in the same order
@@ -341,10 +347,9 @@ def gillespie_reference(net, x0, t_end, seed, max_steps=None):
         steps += 1
         if max_steps is not None and steps >= max_steps:
             break
-    return Trajectory(
+    return ReferenceTrajectory(
         times=tuple(times),
         states=tuple(states),
-        initial_state=tuple(int(v) for v in x0),
         seed=seed,
         t_end=float(t_end),
     )

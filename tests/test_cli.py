@@ -283,6 +283,64 @@ class TestStateBoundOverride:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("bound", ["-5", "0"])
+    def test_bound_below_one_is_an_input_error(self, runner, monkeypatch, bound):
+        monkeypatch.setattr("ergocheck.cli.analyze", never_called)
+        result = run(
+            runner,
+            "analyze",
+            str(DATA / "bd.crn"),
+            "--oracle",
+            "ssa",
+            env={"ERGOCHECK_MAX_STATES": bound},
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert f"ERGOCHECK_MAX_STATES value '{bound}'" in result.stderr
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("the analysis ran on rejected input")
+
+
+class TestUsageErrors:
+    """Click's usage errors exit with the input-error code, 3, not click's
+    own 2, which is IRREDUCIBILITY_DISPROVEN's; nothing goes to stdout."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--format", "xml"), "Invalid value for '--format'"),
+            (("--seed", "abc"), "Invalid value for '--seed'"),
+            (("--oracle", "ssa", "--seed", "-1"), "Invalid value for '--seed'"),
+        ],
+    )
+    def test_bad_option_value(self, runner, monkeypatch, args, message):
+        monkeypatch.setattr("ergocheck.cli.analyze", never_called)
+        result = run(runner, "analyze", str(DATA / "bd.crn"), *args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert message in result.stderr
+
+    def test_missing_path(self, runner):
+        result = run(runner, "analyze")
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "Missing argument 'PATH'" in result.stderr
+
+    def test_unknown_command_and_option(self, runner):
+        for args in (("lint",), ("--verbose", "analyze")):
+            result = run(runner, *args)
+            assert result.exit_code == 3
+            assert result.stdout == ""
+            assert "No such" in result.stderr
+
+    @pytest.mark.parametrize("args", [("--help",), ("analyze", "--help"), ("--version",)])
+    def test_help_and_version_exit_zero(self, runner, args):
+        result = run(runner, *args)
+        assert result.exit_code == 0
+        assert result.stdout
+
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 

@@ -120,7 +120,7 @@ class TestConservedClasses:
 
 
 def reference_classes(s, cs, available):
-    """Edges, classes, closed flags and the reactions fireable in each closed
+    """Classes, closed flags and the reactions fireable in each closed
     class, from a dense Z(A) built state by state with fireable_reactions,
     and BFS."""
     states = [tuple(e) for e in cs.conserved_states.tolist()]
@@ -145,13 +145,12 @@ def reference_classes(s, cs, available):
     closed = tuple(
         all(j in c for i in c for j in range(n) if z[i][j]) for c in classes
     )
-    edges = {(i, j) for i in range(n) for j in range(n) if z[i][j] and i != j}
     closed_fireable = tuple(
         frozenset().union(*(fireable[i] for i in c))
         for c, flag in zip(classes, closed)
         if flag
     )
-    return edges, tuple(classes), closed, closed_fireable
+    return tuple(classes), closed, closed_fireable
 
 
 # Conversions inside a pool of A, B, C: the first set conserves A + B + C,
@@ -199,9 +198,7 @@ class TestSparseClassAnalysis:
             s = net.structure()
             available = frozenset(rng.sample(range(cs.d_u), rng.randint(0, cs.d_u)))
             analysis = conserved_class_analysis(s, cs, available)
-            edges, classes, closed, fireable = reference_classes(s, cs, available)
-            assert {tuple(e) for e in analysis.edges.tolist()} == edges
-            assert len(analysis.edges) == len(edges)
+            classes, closed, fireable = reference_classes(s, cs, available)
             assert analysis.classes == classes
             assert analysis.closed_flags == closed
             assert analysis.closed_fireable == fireable
@@ -218,8 +215,7 @@ class TestSparseClassAnalysis:
         assert cs.index.states.dtype == object
         s = net.structure()
         analysis = conserved_class_analysis(s, cs, frozenset())
-        edges, classes, closed, fireable = reference_classes(s, cs, frozenset())
-        assert {tuple(e) for e in analysis.edges.tolist()} == edges
+        classes, closed, fireable = reference_classes(s, cs, frozenset())
         assert analysis.classes == classes
         assert analysis.closed_flags == closed
         assert analysis.closed_fireable == fireable

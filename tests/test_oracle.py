@@ -2,6 +2,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg
 
@@ -26,6 +27,7 @@ from ergocheck import (
 )
 from ergocheck.report import CME_STATES_HIGH_DIM
 from helpers import (
+    ReferenceTrajectory,
     batch_means_reference,
     box_states,
     box_transitions,
@@ -53,6 +55,11 @@ def tv_to_poisson(estimate, lam):
     return tv / 2.0
 
 
+def fields(traj):
+    """A trajectory's fields as plain Python values, for comparison."""
+    return traj.times.tolist(), traj.states.tolist(), traj.seed, traj.t_end
+
+
 def oscillator_conserved(oscillator_text):
     net = parse_network(oscillator_text)
     gammas = find_conservation_relations(stoichiometry_matrix(net))
@@ -66,19 +73,19 @@ class TestSimulation:
         a = gillespie_simulate(net, (0,), 50.0, seed=42)
         b = gillespie_simulate(net, (0,), 50.0, seed=42)
         c = gillespie_simulate(net, (0,), 50.0, seed=43)
-        assert a == b
-        assert c.states != a.states or c.times != a.times
+        assert fields(a) == fields(b)
+        assert fields(c)[:2] != fields(a)[:2]
 
     def test_first_jump_from_empty_is_a_birth(self, bd_text):
         traj = gillespie_simulate(parse_network(bd_text), (0,), 10.0, seed=0)
-        assert traj.states[0] == (0,)
-        assert traj.states[1] == (1,)
+        assert traj.states[:2].tolist() == [[0], [1]]
 
     def test_absorbing_state_stops(self):
         net = parse_network("S -> 0 ; 1\n")
         traj = gillespie_simulate(net, (0,), 10.0, seed=1)
-        assert traj.states == ((0,),)
-        assert traj.times == (0.0,)
+        assert traj.states.tolist() == [[0]]
+        assert traj.states.dtype == np.int64
+        assert traj.times.tolist() == [0.0]
 
     def test_max_steps_cap(self, bd_text):
         traj = gillespie_simulate(
@@ -88,54 +95,50 @@ class TestSimulation:
 
     def test_jump_sizes_match_stoichiometry(self, bd_text):
         traj = gillespie_simulate(parse_network(bd_text), (0,), 200.0, seed=3)
-        for prev, nxt in zip(traj.states, traj.states[1:]):
-            assert abs(nxt[0] - prev[0]) == 1
-            assert nxt[0] >= 0
+        assert (np.abs(np.diff(traj.states[:, 0])) == 1).all()
+        assert (traj.states >= 0).all()
 
     def test_conserved_totals_are_invariant(self, oscillator_text):
         net, cs = oscillator_conserved(oscillator_text)
         x0 = (0, 0, 0, 0, 0, 1, 0, 1, 0)
         traj = gillespie_simulate(net, x0, 30.0, seed=11)
-        for state in traj.states:
-            for gamma, total in zip(cs.gammas, cs.totals):
-                assert sum(g * x for g, x in zip(gamma, state)) == total
+        for gamma, total in zip(cs.gammas, cs.totals):
+            assert (traj.states @ np.array(gamma) == total).all()
 
 
 class TestTimeAverages:
-    def test_constant_function(self, bd_text):
-        traj = gillespie_simulate(parse_network(bd_text), (0,), 25.0, seed=2)
-        assert time_average(traj, lambda s: 1.0) == pytest.approx(1.0)
+    def test_constant_function(self):
+        # C takes part in no reaction: its average is its count
+        net = parse_network("species: S C\n0 -> S ; 1\nS -> 0 ; 1\n")
+        traj = gillespie_simulate(net, (0, 4), 25.0, seed=2)
+        assert len(traj.states) > 2
+        assert time_average(traj)[1] == pytest.approx(4.0)
 
     def test_hand_built_trajectory(self):
         traj = Trajectory(
-            times=(0.0, 0.4),
-            states=((0,), (2,)),
-            initial_state=(0,),
-            seed=0,
-            t_end=1.0,
+            times=np.array([0.0, 0.4]), states=np.array([[0], [2]]), seed=0, t_end=1.0
         )
-        assert time_average(traj, lambda s: s[0]) == pytest.approx(1.2)
+        assert time_average(traj) == pytest.approx([1.2])
 
     def test_batch_means_partition_the_average(self, bd_text):
         traj = gillespie_simulate(parse_network(bd_text), (0,), 400.0, seed=7)
-        f = lambda s: s[0]
-        means, se = batch_means(traj, f)
+        means, se = batch_means(traj, 0)
         assert len(means) == 20
-        assert means.mean() == pytest.approx(time_average(traj, f), abs=1e-9)
+        assert means.mean() == pytest.approx(time_average(traj)[0], abs=1e-9)
         assert se > 0
 
     def test_batch_means_constant_trajectory(self):
         traj = Trajectory(
-            times=(0.0,), states=((3,),), initial_state=(3,), seed=0, t_end=10.0
+            times=np.array([0.0]), states=np.array([[3]]), seed=0, t_end=10.0
         )
-        means, se = batch_means(traj, lambda s: s[0])
+        means, se = batch_means(traj, 0)
         assert all(m == pytest.approx(3.0) for m in means)
         assert se == pytest.approx(0.0)
 
     def test_long_run_matches_poisson_mean(self, bd_text):
         traj = gillespie_simulate(parse_network(bd_text), (0,), 20000.0, seed=9)
-        mean = time_average(traj, lambda s: s[0])
-        _, se = batch_means(traj, lambda s: s[0])
+        mean = time_average(traj)[0]
+        _, se = batch_means(traj, 0)
         assert abs(mean - 1.0) <= max(3 * se, 0.05)
 
 
@@ -166,6 +169,8 @@ def ssa_cases(seed, count):
         # states beyond int64: the visited states are summed over Python ints
         (f"0 -> X ; 1\nX -> 0 ; 1\nA -> {10**19}*B ; 1\n", (0, 5, 0), 20.0, 7, None),
         (death, (2**70,), 1.0, 8, None),  # rate guard
+        # no jump, but a displacement beyond int64
+        (f"A -> {10**20}*B ; 1\n", (0, 0), 10.0, 10, None),
     ]:
         cases.append((parse_network(text), x0, t_end, sim_seed, max_steps))
     return cases
@@ -189,42 +194,43 @@ class TestReferenceSsa:
                 guarded += 1
                 continue
             traj = gillespie_simulate(*args)
-            assert traj == ref
+            assert traj.times.tolist() == list(ref.times)
+            assert traj.states.tolist() == [list(s) for s in ref.states]
+            assert (traj.seed, traj.t_end) == (ref.seed, ref.t_end)
             # repr tells every float apart, -0.0 from 0.0 included
-            coordinates = [lambda s, i=i: s[i] for i in range(net.num_species)]
-            mixed = [lambda s: s[0] - 0.5 * s[-1], lambda s: -float(s[0])]
-            for f in coordinates + mixed:
-                average = time_average(traj, f)
-                assert repr(average) == repr(time_average_reference(ref, f))
-                means, se = batch_means(traj, f)
+            averages = time_average(traj)
+            assert len(averages) == net.num_species
+            for c in range(net.num_species):
+                f = lambda s, c=c: s[c]
+                assert repr(averages[c]) == repr(time_average_reference(ref, f))
+                means, se = batch_means(traj, c)
                 ref_means, ref_se = batch_means_reference(ref, f)
                 assert repr((means.tolist(), se)) == repr((ref_means.tolist(), ref_se))
-            assert repr(time_average(traj, lambda s: s)) == repr(
-                [time_average_reference(ref, f) for f in coordinates]
-            )
             capped += len(traj.states) - 1 == max_steps
             absorbed += len(traj.states) == 1
             try:
                 conserved += bool(find_conservation_relations(stoichiometry_matrix(net)))
             except ErgocheckError:  # relations exist but overlap
                 conserved += 1
-            huge += max(map(max, traj.states)) >= 2**63
+            huge += traj.states.dtype == object and traj.states.max() >= 2**63
         assert capped and absorbed and conserved and huge and guarded
 
     def test_repeated_times_and_times_on_window_edges(self):
         # a zero holding interval (t + dt == t in floats) and jumps that land
         # exactly on window edges (0.5, 1.0, 9.5 with 20 windows on [0, 10])
-        traj = Trajectory(
+        ref = ReferenceTrajectory(
             times=(0.0, 0.5, 0.5, 0.7, 1.0, 3.3, 9.5, 9.9),
             states=((1,), (4,), (2,), (7,), (3,), (0,), (5,), (6,)),
-            initial_state=(1,),
             seed=0,
             t_end=10.0,
         )
-        f = lambda s: s[0] / 3
-        assert repr(time_average(traj, f)) == repr(time_average_reference(traj, f))
-        means, se = batch_means(traj, f)
-        ref_means, ref_se = batch_means_reference(traj, f)
+        traj = Trajectory(
+            np.array(ref.times), np.array(ref.states), ref.seed, ref.t_end
+        )
+        f = lambda s: s[0]
+        assert repr(time_average(traj)) == repr([time_average_reference(ref, f)])
+        means, se = batch_means(traj, 0)
+        ref_means, ref_se = batch_means_reference(ref, f)
         assert repr((means.tolist(), se)) == repr((ref_means.tolist(), ref_se))
 
     def test_jump_budget_raises_quickly(self):
@@ -245,13 +251,21 @@ class TestReferenceSsa:
             "error": "SSA trajectory exceeded the bound of 2 jumps before t = 500",
         }
 
+    def test_conservation_is_checked_exactly_beyond_int64(self):
+        # the relation (2**64, 2**48, 2**32, 2**16, 1) leaves int64 while
+        # every displacement and state fits; the chain stays at 0
+        text = "".join(f"A{i} -> 65536*A{i + 1} ; 1\n" for i in range(4))
+        report = analyze(text, totals=(0,), oracle="ssa")
+        assert report.conserved.gammas == ((2**64, 2**48, 2**32, 2**16, 1),)
+        assert [run["jumps"] for run in report.oracle["runs"]] == [0, 0]
+        assert report.oracle["conservation_constant"]
+
     def test_zero_length_trajectory_has_no_time_average(self, bd_text):
-        traj = gillespie_simulate(parse_network(bd_text), (2,), 0.0, seed=1)
+        args = (parse_network(bd_text), (2,), 0.0, 1)
         with pytest.raises(ZeroDivisionError):
-            time_average_reference(traj, lambda s: s[0])
-        for f in (lambda s: s[0], lambda s: s):
-            with pytest.raises(ZeroDivisionError):
-                time_average(traj, f)
+            time_average_reference(gillespie_reference(*args), lambda s: s[0])
+        with pytest.raises(ZeroDivisionError):
+            time_average(gillespie_simulate(*args))
 
 
 class TestTruncatedStationary:
@@ -268,8 +282,8 @@ class TestTruncatedStationary:
 
     def test_single_state_box(self):
         est = truncated_cme_stationary(parse_network("S -> 0 ; 1\n"), (0,))
-        assert est.states == ((0,),)
-        assert est.probabilities == (1.0,)
+        assert est.states.tolist() == [[0]]
+        assert est.probabilities.tolist() == [1.0]
 
     def test_undersized_box_is_flagged(self, bd_text):
         est = truncated_cme_stationary(parse_network(bd_text), (2,))
@@ -319,8 +333,8 @@ class TestTruncatedStationary:
         est = truncated_cme_stationary(net, (3, 3, 3, 3, 3), cs=cs)
         assert len(est.states) == (4**5) * 4
         assert sum(est.probabilities) == pytest.approx(1.0)
-        for s, p in zip(est.states, est.probabilities):
-            assert s[5] + s[6] == 1 and s[7] + s[8] == 1
+        assert (est.states[:, 5] + est.states[:, 6] == 1).all()
+        assert (est.states[:, 7] + est.states[:, 8] == 1).all()
 
 
 class TestOracleBox:
@@ -431,7 +445,7 @@ class TestChainBuilder:
                     truncated_cme_stationary(net, bounds, cs)
                 continue
             est = truncated_cme_stationary(net, bounds, cs)
-            assert est.states == tuple(states)
+            assert [tuple(s) for s in est.states.tolist()] == states
             for p, q in zip(est.probabilities, exact):
                 assert abs(p - q) <= 1e-10
             probe = empirical_irreducibility_probe(net, bounds, cs)
