@@ -137,15 +137,14 @@ def time_average(traj):
     """Time-weighted average of every species over the trajectory, final
     partial holding interval included, as a list.
 
-    The weighted counts are added in state order from 0.0, as a loop over
-    the states would.
+    The weighted counts are added in state order, as a loop over the states
+    would.
     """
     if traj.t_end == 0:  # as the division of a loop's Python float would
         raise ZeroDivisionError("time average over a zero-length trajectory")
     held = np.append(traj.times[1:], traj.t_end) - traj.times
     weighted = traj.states.T.astype(float) * held
-    # a loop's sum starts at 0.0, which turns an all -0.0 sum into 0.0
-    total = np.cumsum(weighted, axis=1)[:, -1] + 0.0
+    total = np.cumsum(weighted, axis=1)[:, -1]
     return (total / traj.t_end).tolist()
 
 

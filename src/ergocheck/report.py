@@ -224,11 +224,9 @@ def _ssa_run(net, cs, x0, seed, max_states):
         )
     kept = True
     if cs is not None:
-        states = traj.states  # nonnegative, as are the gammas
-        if int(states.max(initial=1)) * max(map(sum, cs.gammas)) >= 2**63:
-            states = states.astype(object)  # an int64 sum could wrap
+        states = traj.states.astype(object)  # exact integers
         for gamma in cs.gammas:
-            amounts = states @ np.array(gamma, dtype=states.dtype)
+            amounts = states @ np.array(gamma, dtype=object)
             kept = kept and not (amounts != amounts[0]).any()
     _, se = batch_means(traj, 0)
     run = {
