@@ -147,6 +147,21 @@ def _positivize(w, ds, cs):
     return tuple(v), tuple(alphas)
 
 
+def _certificate(w, ds, cs):
+    """Lift a valid witness to a full certificate and re-check it by exact
+    substitution; a certificate that fails is never returned."""
+    v, alphas = _positivize(w, ds, cs)
+    cert = LyapunovCertificate(
+        w=tuple(w),
+        v_positive=v,
+        alphas=alphas,
+        drift_margin=tuple(ds.a.matvec(list(w))),
+    )
+    if not verify_certificate(cert, ds):
+        raise InternalCheckFailed("Lyapunov certificate fails its exact re-check")
+    return cert
+
+
 def check_negative_drift(ds, cs=None):
     """Solve the drift feasibility problem; return a certificate or None.
 
@@ -155,15 +170,7 @@ def check_negative_drift(ds, cs=None):
     outcome = solve_lfp(ds.problem)
     if not outcome.feasible:
         return None
-    w = outcome.witness
-    v, alphas = _positivize(w, ds, cs)
-    margin = tuple(ds.a.matvec(list(w)))
-    cert = LyapunovCertificate(
-        w=tuple(w), v_positive=v, alphas=alphas, drift_margin=margin
-    )
-    if not verify_certificate(cert, ds):
-        raise InternalCheckFailed("Lyapunov certificate fails its exact re-check")
-    return cert
+    return _certificate(outcome.witness, ds, cs)
 
 
 def witness_violation(w, ds):
@@ -184,16 +191,13 @@ def witness_violation(w, ds):
 
 def certificate_from_witness(w, ds, cs=None):
     """Validate an externally supplied witness and lift it to a full
-    certificate; raises WitnessRejected naming the violated constraint."""
+    certificate; raises WitnessRejected naming the violated constraint, and
+    InternalCheckFailed if the lifted certificate fails its re-check."""
     w = tuple(Fraction(x) for x in w)
     violation = witness_violation(w, ds)
     if violation is not None:
         raise WitnessRejected(violation)
-    v, alphas = _positivize(w, ds, cs)
-    margin = tuple(ds.a.matvec(list(w)))
-    return LyapunovCertificate(
-        w=w, v_positive=v, alphas=alphas, drift_margin=margin
-    )
+    return _certificate(w, ds, cs)
 
 
 def verify_certificate(cert, ds):

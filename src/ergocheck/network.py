@@ -360,82 +360,59 @@ def _normalize_gamma(vec):
     return tuple(v // g for v in ints)
 
 
-def _nonneg_null_lfp(basis, support, lower_one, zero_out):
-    """LFP over null-space coordinates c: gamma = B^T c, gamma >= 0 on
-    `support`, gamma_i >= 1 for i in lower_one, gamma_j = 0 for j in zero_out."""
-    r = len(basis)
-    ineq, b = [], []
-    eq, b_eq = [], []
-    for i in support:
-        row = {t: -basis[t][i] for t in range(r) if basis[t][i] != 0}
-        if i in zero_out:
-            eq.append({t: -v for t, v in row.items()})
-            b_eq.append(Fraction(0))
-        elif i in lower_one:
-            ineq.append(row)
-            b.append(Fraction(-1))
-        else:
-            ineq.append(row)
-            b.append(Fraction(0))
-    return solve_lfp(LfpProblem.build(ineq, b, eq, b_eq, r))
-
-
 def find_conservation_relations(m):
-    """Nonnegative, disjoint-support, coprime conservation vectors of M.
+    """Nonnegative, disjoint-support, coprime conservation vectors of M:
+    the extreme semi-positive conservation relations (Schuster & Hoefer
+    1991) when their supports do not overlap.
 
-    Computes an exact basis of the left null space, then decides for each
-    candidate species which companions *must* co-occur in any nonnegative
-    null vector containing it; those closures must partition the candidate
-    set, else OverlappingConservation is raised.
+    One LFP over the coordinates c of a left null-space basis B, y = B^T c
+    >= 0 with at least 1 in total on the species not yet seen, is repeated
+    until it is infeasible; the species its witnesses hold are the carried
+    ones.  With m disjoint relations that is at most m + 1 LFPs.  The
+    witnesses add up to a vector positive on every carried species, so the
+    nonnegative null vectors span the null space of M's carried rows, and
+    their cone is generated by disjoint rays exactly when the canonical
+    basis of that null space is nonnegative with disjoint supports (each
+    ray holds one free column).  That basis is then the relations;
+    otherwise OverlappingConservation is raised.
     """
-    basis = left_null_space(m)
-    if not basis:
-        return ()
     d = m.nrows
-    support = sorted({i for vec in basis for i in range(d) if vec[i] != 0})
-    carried = []
-    for i in support:
-        out = _nonneg_null_lfp(basis, support, {i}, set())
-        if out.feasible:
-            carried.append(i)
-    if not carried:
-        return ()
-    closures = {}
-    for i in carried:
-        closure = {i}
-        for j in carried:
-            if j == i:
-                continue
-            out = _nonneg_null_lfp(basis, support, {i}, {j})
-            if not out.feasible:
-                closure.add(j)
-        closures[i] = frozenset(closure)
-    seen = []
-    for i in carried:
-        ci = closures[i]
-        for cj in seen:
-            if ci != cj and ci & cj:
-                raise OverlappingConservation(
-                    f"conserved species groups {sorted(ci)} and {sorted(cj)} overlap"
-                )
-        if ci not in seen:
-            seen.append(ci)
-    gammas = []
-    for closure in sorted(seen, key=min):
-        out = _nonneg_null_lfp(
-            basis, support, {min(closure)}, set(support) - set(closure)
-        )
+    basis = left_null_space(m)
+    # row i of the LFP reads -y_i <= 0 in the coordinates c
+    cone = {
+        i: {t: -vec[i] for t, vec in enumerate(basis) if vec[i]}
+        for i in range(d)
+        if any(vec[i] for vec in basis)
+    }
+    unseen, carried = set(cone), []
+    while unseen:
+        reach = {}
+        for i in unseen:
+            for t, v in cone[i].items():
+                reach[t] = reach.get(t, 0) + v
+        rows, b = list(cone.values()) + [reach], [0] * len(cone) + [-1]
+        out = solve_lfp(LfpProblem.build(rows, b, [], [], len(basis)))
         if not out.feasible:
+            break
+        c = out.witness
+        held = {i for i in unseen if sum(v * c[t] for t, v in cone[i].items())}
+        carried += held
+        unseen -= held
+    carried.sort()
+    sub = RationalMatrix(len(carried), m.ncols, [m.rows[i] for i in carried])
+    gammas, seen = [], set()
+    for vec in left_null_space(sub):
+        support = {i for i, v in zip(carried, vec) if v}
+        if any(v < 0 for v in vec) or support & seen:
             raise OverlappingConservation(
-                f"no nonnegative conservation vector with support {sorted(closure)}"
+                f"nonnegative conservation relations on species {carried} overlap"
             )
-        gamma = [Fraction(0)] * d
-        for t, c in enumerate(out.witness):
-            if c:
-                for i in range(d):
-                    gamma[i] += c * basis[t][i]
+        seen |= support
+        gamma = [0] * d
+        for i, v in zip(carried, vec):
+            gamma[i] = v
         gammas.append(_normalize_gamma(gamma))
-    return tuple(gammas)
+    return tuple(sorted(gammas, key=lambda g: min(i for i, v in enumerate(g) if v)))
 
 
 def reorder_conserved_last(net, gammas):

@@ -148,6 +148,8 @@ def analyze(
                 f"for: {', '.join(names)}"
             )
         cs = enumerate_conserved_states(cs, totals, max_states=max_states)
+    elif totals:
+        raise MissingTotals(f"expected 0 conserved totals, got {len(totals)}")
     timings["conservation"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -162,9 +164,6 @@ def analyze(
     else:
         cert = drift_mod.check_negative_drift(ds, cs)
     timings["drift"] = time.perf_counter() - start
-
-    if cert is not None and not drift_mod.verify_certificate(cert, ds):
-        cert = None  # solver bug guard: never report an unverified certificate
 
     if irr.status == irr_mod.NECESSARY_CONDITION_FAILED:
         verdict = IRREDUCIBILITY_DISPROVEN

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the code paths they check: the LFP
 oracle is an exhaustive rational grid search, lattice equality is decided
 through canonical forms plus exact determinants, reachability is BFS, and
 the truncated CME chain is walked state by state and solved in rationals,
-conserved states are enumerated as tuples by recursion, and the SSA
-references recompute every propensity on every jump and sum
+conserved states are enumerated as tuples by recursion, conservation
+relations come from pairwise closures (one LFP per pair of species), and
+the SSA references recompute every propensity on every jump and sum
 time averages state by state.
 """
 
@@ -20,11 +21,14 @@ import numpy as np
 
 from ergocheck import (
     LfpProblem,
+    OverlappingConservation,
     PropensityOverflow,
     RationalMatrix,
     propensity,
+    solve_lfp,
 )
-from ergocheck.linalg import rref
+from ergocheck.linalg import left_null_space, rref
+from ergocheck.network import _normalize_gamma
 from ergocheck.oracle import RATE_GUARD
 
 
@@ -197,6 +201,102 @@ def random_network_text(rng, max_species=4, max_reactions=5):
         rate = rng.choice(["1", "2", "1/2", "0.25", "3"])
         lines.append(f"{side()} -> {side()} ; {rate}")
     return "\n".join(lines) + "\n"
+
+
+def rings_text(n):
+    """Two n-species rings: A1..An converted around the ring by a catalyst
+    X that is born and dies, and B1..Bn converted on their own.  Sum A and
+    sum B are the two conservation relations."""
+    lines = ["0 -> X ; 1", "X -> 0 ; 1"]
+    lines += [f"A{i} + X -> A{i % n + 1} + X ; 1" for i in range(1, n + 1)]
+    lines += [f"B{i} -> B{i % n + 1} ; 1" for i in range(1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
+# --- conservation relations by pairwise closures --------------------
+
+
+def _nonneg_null_lfp(basis, support, lower_one, zero_out):
+    """LFP over null-space coordinates c: gamma = B^T c, gamma >= 0 on
+    `support`, gamma_i >= 1 for i in lower_one, gamma_j = 0 for j in zero_out."""
+    r = len(basis)
+    ineq, b = [], []
+    eq, b_eq = [], []
+    for i in support:
+        row = {t: -basis[t][i] for t in range(r) if basis[t][i] != 0}
+        if i in zero_out:
+            eq.append({t: -v for t, v in row.items()})
+            b_eq.append(Fraction(0))
+        elif i in lower_one:
+            ineq.append(row)
+            b.append(Fraction(-1))
+        else:
+            ineq.append(row)
+            b.append(Fraction(0))
+    return solve_lfp(LfpProblem.build(ineq, b, eq, b_eq, r))
+
+
+def conservation_relations_reference(m):
+    """Disjoint-support conservation relations by pairwise closures (oracle).
+
+    One LFP per species finds the species some nonnegative null vector
+    holds; one LFP per ordered pair (i, j) decides whether j must occur in
+    every nonnegative null vector that holds i.  These closures must
+    partition the held species, else OverlappingConservation is raised;
+    each closure's relation then comes from one more LFP.  O(c^2) LFPs for
+    c held species.
+    """
+    basis = left_null_space(m)
+    if not basis:
+        return ()
+    d = m.nrows
+    support = sorted({i for vec in basis for i in range(d) if vec[i] != 0})
+    carried = []
+    for i in support:
+        out = _nonneg_null_lfp(basis, support, {i}, set())
+        if out.feasible:
+            carried.append(i)
+    if not carried:
+        return ()
+    closures = {}
+    for i in carried:
+        closure = {i}
+        for j in carried:
+            if j == i:
+                continue
+            out = _nonneg_null_lfp(basis, support, {i}, {j})
+            if not out.feasible:
+                closure.add(j)
+        closures[i] = frozenset(closure)
+    seen = []
+    for i in carried:
+        ci = closures[i]
+        for cj in seen:
+            if ci != cj and ci & cj:
+                raise OverlappingConservation(
+                    f"conserved species groups {sorted(ci)} and {sorted(cj)} overlap"
+                )
+        if ci not in seen:
+            seen.append(ci)
+    gammas = []
+    for closure in sorted(seen, key=min):
+        out = _nonneg_null_lfp(
+            basis, support, {min(closure)}, set(support) - set(closure)
+        )
+        if not out.feasible:
+            raise OverlappingConservation(
+                f"no nonnegative conservation vector with support {sorted(closure)}"
+            )
+        gamma = [Fraction(0)] * d
+        for t, c in enumerate(out.witness):
+            if c:
+                for i in range(d):
+                    gamma[i] += c * basis[t][i]
+        gammas.append(_normalize_gamma(gamma))
+    return tuple(gammas)
+
+
+# --- state-space references -----------------------------------------
 
 
 def bfs_reachability(z):

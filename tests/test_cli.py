@@ -5,10 +5,12 @@ import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+import ergocheck.drift as drift_mod
 from ergocheck import parse_report
 from ergocheck.cli import EXIT_CODES, INTERNAL_ERROR_EXIT, main
 from conftest import DATA
@@ -95,6 +97,14 @@ class TestExitCodes:
         result = run(runner, "analyze", str(DATA / "oscillator.crn"))
         assert result.exit_code == 3
         assert "totals" in result.stderr.lower()
+
+    def test_totals_without_relations(self, runner):
+        result = run(
+            runner, "analyze", str(DATA / "bd.crn"), "--conserved-totals", "5"
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "expected 0 conserved totals, got 1" in result.stderr
 
     def test_conserved_chain_past_256_states_is_proven(self, runner, tmp_path):
         p = tmp_path / "switch.crn"
@@ -240,6 +250,20 @@ class TestVerify:
         via_verify = run(runner, "verify", common[0], w, *common[1:]).output
         via_analyze = run(runner, "analyze", *common, "--witness", w).output
         assert via_verify == via_analyze
+
+    def test_lifted_witness_failing_its_recheck_exits_5(
+        self, runner, tmp_path, monkeypatch
+    ):
+        w = self.witness_file(tmp_path, self.OSC_W)
+        monkeypatch.setattr(
+            drift_mod, "_positivize", lambda w, ds, cs: ((Fraction(0),) * len(w), ())
+        )
+        result = run(
+            runner, "verify", str(DATA / "oscillator.crn"), w, "--conserved-totals", "1,1"
+        )
+        assert result.exit_code == INTERNAL_ERROR_EXIT
+        assert result.stdout == ""
+        assert "internal check failed" in result.stderr
 
 
 class TestStateBoundOverride:

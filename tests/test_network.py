@@ -24,9 +24,22 @@ from ergocheck import (
     reorder_conserved_last,
     stoichiometry_matrix,
 )
+from ergocheck import network as network_mod
 from ergocheck.errors import InputError
 from ergocheck.network import ConservedStructure
-from helpers import conserved_states_reference, random_network_text
+from helpers import (
+    conservation_relations_reference,
+    conserved_states_reference,
+    random_network_text,
+    rings_text,
+)
+
+
+def relations_or_overlap(find, m):
+    try:
+        return find(m)
+    except OverlappingConservation:
+        return "overlap"
 
 
 class TestParsing:
@@ -182,6 +195,41 @@ class TestConservation:
         net = parse_network("A + C -> 2*B ; 1\n2*B -> A + C ; 1\n")
         with pytest.raises(OverlappingConservation):
             find_conservation_relations(stoichiometry_matrix(net))
+
+    def test_matches_pairwise_closures_on_3000_random_networks(self):
+        rng = random.Random(2026)
+        outcomes = []
+        for species, reactions, count in ((4, 5, 2000), (6, 8, 500), (10, 12, 500)):
+            for _ in range(count):
+                text = random_network_text(rng, species, reactions)
+                m = stoichiometry_matrix(parse_network(text))
+                got = relations_or_overlap(find_conservation_relations, m)
+                want = relations_or_overlap(conservation_relations_reference, m)
+                assert got == want, text
+                outcomes.append(got if got == "overlap" else len(got))
+        # both outcomes, and several relations at once, are exercised
+        assert outcomes.count("overlap") >= 50
+        assert sum(n != "overlap" and n >= 2 for n in outcomes) >= 500
+
+    def test_at_most_one_lfp_beyond_the_relations(self, oscillator_text, monkeypatch):
+        calls = []
+        solve = network_mod.solve_lfp
+        monkeypatch.setattr(
+            network_mod, "solve_lfp", lambda p: calls.append(p) or solve(p)
+        )
+        for text in (oscillator_text, rings_text(60)):
+            calls.clear()
+            m = stoichiometry_matrix(parse_network(text))
+            assert len(find_conservation_relations(m)) == 2
+            assert 1 <= len(calls) <= 3
+
+    def test_two_60_species_rings(self):
+        m = stoichiometry_matrix(parse_network(rings_text(60)))
+        start = time.perf_counter()
+        gammas = find_conservation_relations(m)
+        assert time.perf_counter() - start < 2
+        # species order: X, then A1..A60, then B1..B60
+        assert gammas == ((0,) + (1,) * 60 + (0,) * 60, (0,) * 61 + (1,) * 60)
 
     def test_reorder_moves_conserved_last(self):
         net = parse_network("species: A B C\nA -> B ; 1\nB -> A ; 1\n0 -> C ; 1\n")

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
+import ergocheck.drift as drift_mod
 from ergocheck import (
+    InternalCheckFailed,
     MissingTotals,
     WitnessRejected,
     analyze,
@@ -42,9 +46,26 @@ class TestVerdictMapping:
             analyze(oscillator_text)
         assert "S6" in str(exc.value)
 
+    def test_totals_without_relations_are_rejected(self, bd_text):
+        with pytest.raises(MissingTotals, match="expected 0 conserved totals, got 1$"):
+            analyze(bd_text, totals=(5,))
+        assert analyze(bd_text, totals=()).verdict == "PROVEN_ERGODIC"
+
     def test_bad_witness_raises(self, oscillator_text):
         with pytest.raises(WitnessRejected):
             verify(oscillator_text, (0,) * 9, totals=(1, 1))
+
+    def test_lifted_witness_failing_its_recheck_raises(
+        self, oscillator_text, monkeypatch
+    ):
+        half = Fraction(1, 2)
+        witness = (2, 1, 2, 1, 2, -half, half, -half, half)
+        assert verify(oscillator_text, witness, totals=(1, 1)).verdict == "PROVEN_ERGODIC"
+        monkeypatch.setattr(
+            drift_mod, "_positivize", lambda w, ds, cs: ((Fraction(0),) * len(w), ())
+        )
+        with pytest.raises(InternalCheckFailed):
+            verify(oscillator_text, witness, totals=(1, 1))
 
 
 class TestOracleModes:
