@@ -39,7 +39,6 @@ class ReactionClassification:
 class DriftSystem:
     a: RationalMatrix  # d_u x d
     m_q: RationalMatrix  # d x K_q
-    b: RationalMatrix  # d_u x d, [-I | 0]; in `problem` as bounds v_u >= 1
     problem: LfpProblem
     d_u: int
     d: int
@@ -116,14 +115,12 @@ def build_drift_system(rc, net, cs=None):
                 mq_rows[i][col] = z
     m_q = RationalMatrix(d, rc.k_q, mq_rows)
 
-    b = RationalMatrix(d_u, d, [{i: Fraction(-1)} for i in range(d_u)])
-
     eq = [dict(r) for r in m_q.transpose().rows]
     lower = [1] * d_u + [None] * (d - d_u)
     problem = LfpProblem.build(
         [dict(r) for r in a.rows], [-1] * d_u, eq, [0] * rc.k_q, d, lower
     )
-    return DriftSystem(a=a, m_q=m_q, b=b, problem=problem, d_u=d_u, d=d)
+    return DriftSystem(a=a, m_q=m_q, problem=problem, d_u=d_u, d=d)
 
 
 def _positivize(w, ds, cs):

@@ -1,16 +1,17 @@
 """Desk-scale empirical cross-validation.
 
 Gillespie direct-method trajectories, updated after each jump along the
-reaction dependency graph and reproducible bit for bit from a seed, kept
-as a float array of jump times and one integer array of visited states;
-ergodic time averages of every species and batch-means standard errors of
-one, read from the state array's columns and summed in state order so
-every float equals a state-by-state loop's; and the finite-state
-projection of the CME (Munsky & Khammash 2006) on a box: the truncated
-chain is built once as arrays, its stationary distribution comes from one
-sparse floating-point solve (a box whose chain has other than one closed
-class is reported as singular instead of solved) and its interior is
-probed for strong connectivity.
+reaction dependency graph by one propensity closure per reaction (the
+same float operations and RNG order as a full sweep, so reproducible bit
+for bit from a seed), kept as a float array of jump times and one
+integer array of visited states; ergodic time averages of every species
+and batch-means standard errors of one, read from the state array's
+columns and summed in state order so every float equals a state-by-state
+loop's; and the finite-state projection of the CME (Munsky & Khammash
+2006) on a box: the truncated chain is built once as arrays, its
+stationary distribution comes from one sparse floating-point solve (a
+box whose chain has other than one closed class is reported as singular
+instead of solved) and its interior is probed for strong connectivity.
 """
 
 from __future__ import annotations
@@ -59,32 +60,48 @@ class StationaryEstimate:
         return sum((self.probabilities * self.states[:, coordinate]).tolist())
 
 
-def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
-    """Direct-method SSA; deterministic for a fixed seed.
+def _propensity(x, rate, need):
+    """A closure over the live state list `x` that returns one reaction's
+    mass-action propensity.
 
-    After a jump only the propensities that depend on a species the fired
-    reaction changed are recomputed (the dependency graph of Gibson & Bruck,
-    J. Phys. Chem. A 104, 2000).  Each one takes the same float operations
-    in the same order as a full sweep, the total and the chosen reaction
-    come from one running sum in reaction order, and the RNG is drawn in
-    the same order, so a seed fixes the trajectory bit for bit.
+    Every shape takes the float operations of the general loop in the same
+    order: `p <= 0.0` after each reactant species returns 0.0, so -0.0
+    becomes 0.0 and a NaN passes.  Order one, `2*S` and `A + B` are
+    unrolled; any other shape runs the general loop.
     """
-    rng = np.random.default_rng(seed)
-    rates = [float(r.rate) for r in net.reactions]
-    rows = [r.displacement for r in net.reactions]
-    needs = [[(i, v) for i, v in enumerate(r.reactants) if v] for r in net.reactions]
-    moves = [[(i, z) for i, z in enumerate(row) if z] for row in rows]
-    # reactions whose propensity reads a species that reaction k changes
-    affected = [
-        [j for j, need in enumerate(needs) if any(delta[i] for i, _ in need)]
-        for delta in rows
-    ]
-    initial = tuple(int(v) for v in x0)
-    x = list(initial)
+    orders = [v for _, v in need]
+    if orders == [1]:
+        ((i, _),) = need
 
-    def rate_of(k):
-        p = rates[k]
-        for i, v in needs[k]:
+        def order_one():
+            p = rate * x[i]
+            return 0.0 if p <= 0.0 else p
+
+        return order_one
+    if orders == [2]:
+        ((i, _),) = need
+
+        def dimer():
+            xi = x[i]
+            p = rate * xi * (xi - 1) / 2
+            return 0.0 if p <= 0.0 else p
+
+        return dimer
+    if orders == [1, 1]:
+        (i, _), (j, _) = need
+
+        def pair():
+            p = rate * x[i]
+            if p <= 0.0:
+                return 0.0
+            p *= x[j]
+            return 0.0 if p <= 0.0 else p
+
+        return pair
+
+    def general():
+        p = rate
+        for i, v in need:
             xi = x[i]
             for step in range(v):
                 p *= xi - step
@@ -94,31 +111,73 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
                 return 0.0
         return p
 
-    props = [rate_of(k) for k in range(net.num_reactions)]
+    return general
+
+
+def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
+    """Direct-method SSA; deterministic for a fixed seed.
+
+    After a jump only the propensities that depend on a species the fired
+    reaction changed are recomputed (the dependency graph of Gibson & Bruck,
+    J. Phys. Chem. A 104, 2000), each by one closure per reaction over the
+    live state.  Each closure takes the same float operations in the same
+    order as a full sweep, the total and the chosen reaction come from one
+    running sum in reaction order, and the RNG is drawn in the same order,
+    so a seed fixes the trajectory bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    rows = [r.displacement for r in net.reactions]
+    needs = [[(i, v) for i, v in enumerate(r.reactants) if v] for r in net.reactions]
+    moves = [[(i, z) for i, z in enumerate(row) if z] for row in rows]
+    initial = tuple(int(v) for v in x0)
+    x = list(initial)
+    rate_of = [
+        _propensity(x, float(r.rate), need) for r, need in zip(net.reactions, needs)
+    ]
+    # (j, closure) for the reactions whose propensity reads a species that
+    # reaction k changes
+    affected = [
+        [
+            (j, rate_of[j])
+            for j, need in enumerate(needs)
+            if any(delta[i] for i, _ in need)
+        ]
+        for delta in rows
+    ]
+
+    props = [f() for f in rate_of]
     last = net.num_reactions - 1
+    limit = math.inf if max_steps is None else max_steps
     t = 0.0
+    jumps = 0
     times = array.array("d", [0.0])  # 8 bytes a jump, not a float object
     fired = array.array("q")
+    exponential, uniform = rng.exponential, rng.random
+    accumulate, bisect_right = itertools.accumulate, bisect.bisect_right
+    add_time, add_fired = times.append, fired.append
     while True:
         # running sums in reaction order; never sum(), which compensates
         # on Python 3.12+, nor np.sum, which is pairwise
-        cumulative = list(itertools.accumulate(props))
+        cumulative = list(accumulate(props))
         total = cumulative[-1] if cumulative else 0.0
         if total > RATE_GUARD:
             raise PropensityOverflow(f"total rate {total:g} exceeds guard")
         if total == 0.0:
             break
-        t += rng.exponential(1.0 / total)
+        t += exponential(1.0 / total)
         if t >= t_end:
             break
-        k = min(bisect.bisect_right(cumulative, rng.random() * total), last)
+        k = bisect_right(cumulative, uniform() * total)
+        if k > last:
+            k = last
         for i, z in moves[k]:
             x[i] += z
-        for j in affected[k]:
-            props[j] = rate_of(j)
-        times.append(t)
-        fired.append(k)
-        if max_steps is not None and len(fired) >= max_steps:
+        for j, f in affected[k]:
+            props[j] = f()
+        add_time(t)
+        add_fired(k)
+        jumps += 1
+        if jumps >= limit:
             break
     # the visited states: the initial one plus the running sum of the fired
     # displacements, in int64 when no state and no displacement can leave

@@ -88,7 +88,7 @@ class TestDriftMatrix:
         ds = build_drift_system(classify_reactions(net), net)
         assert ds.a.to_dense() == [[-1]]
         assert ds.m_q.ncols == 0
-        assert ds.b.to_dense() == [[-1]]
+        assert ds.problem.lower == (1,)  # v_u >= 1, the [-I | 0] block
 
     def test_rates_weight_the_rows(self):
         net = parse_network("species: A B\nA -> B ; 3\nB -> 0 ; 1/2\n0 -> A ; 1\n")
@@ -102,7 +102,8 @@ class TestDriftMatrix:
         ds, rc, _ = oscillator_system(oscillator_text)
         assert (ds.a.nrows, ds.a.ncols) == (5, 9)
         assert (ds.m_q.nrows, ds.m_q.ncols) == (9, 3)
-        assert ds.b.to_dense()[0][:6] == [-1, 0, 0, 0, 0, 0]
+        # v_u >= 1 on the 5 unconserved species; the conserved ones are free
+        assert ds.problem.lower == (1,) * 5 + (None,) * 4
         # binary columns in ascending reaction order
         col0 = [ds.m_q.entry(i, 0) for i in range(9)]
         assert col0 == [0, -1, 0, 0, 0, -1, 1, 0, 0]

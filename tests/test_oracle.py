@@ -154,6 +154,8 @@ def ssa_cases(seed, count):
         cases.append((net, x0, 20.0, rng.randrange(2**31), rng.choice([40, 2000])))
     bd = "0 -> S ; 1\nS -> 0 ; 1\n"
     death = "S -> 0 ; 1\n"
+    dimer = "0 -> S ; 1\n2*S -> 0 ; 1/3\n"
+    pair = "0 -> A ; 1/2\n0 -> B ; 1/5\nA + B -> C ; 1\nC -> 0 ; 1\n"
     for text, x0, t_end, sim_seed, max_steps in [
         (bd, (0,), 200.0, 1, None),  # cut at t_end
         (bd, (0,), 1e9, 2, 100),  # cut by max_steps
@@ -171,6 +173,18 @@ def ssa_cases(seed, count):
         (death, (2**70,), 1.0, 8, None),  # rate guard
         # no jump, but a displacement beyond int64
         (f"A -> {10**20}*B ; 1\n", (0, 0), 10.0, 10, None),
+        # 2*S from 0 (the product is -0.0) and from 1
+        (dimer, (0,), 50.0, 11, None),
+        (dimer, (1,), 50.0, 12, None),
+        # A + B with A = 0 (the early return) and with B = 0
+        (pair, (0, 4, 0), 50.0, 13, None),
+        (pair, (4, 0, 0), 50.0, 14, None),
+        # shapes of the general loop
+        ("0 -> S ; 2\n3*S -> S ; 1/7\n", (6,), 50.0, 15, None),
+        ("0 -> A ; 1\n0 -> B ; 1/2\n2*A + B -> A ; 1/3\nA -> 0 ; 1/4\n",
+         (1, 2), 50.0, 16, None),
+        # one reaction listed twice
+        ("0 -> S ; 1\nS -> 0 ; 1/3\nS -> 0 ; 1/3\n", (2,), 50.0, 17, None),
     ]:
         cases.append((parse_network(text), x0, t_end, sim_seed, max_steps))
     return cases
