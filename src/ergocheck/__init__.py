@@ -3,7 +3,6 @@
 __version__ = "0.1.0"  # before the submodule imports: report reads it
 
 from .drift import (
-    DriftSystem,
     LyapunovCertificate,
     ReactionClassification,
     build_drift_system,
@@ -36,7 +35,13 @@ from .irreducibility import (
     level_decomposition,
     level_decomposition_conserved,
 )
-from .lfp import LfpOutcome, LfpProblem, solve_lfp, witness_satisfies
+from .lfp import (
+    LfpOutcome,
+    LfpProblem,
+    solve_lfp,
+    witness_satisfies,
+    witness_violation,
+)
 from .linalg import (
     HnfResult,
     RationalMatrix,

@@ -3,8 +3,8 @@
 Reactions are partitioned into unary-unconserved, binary and remainder
 sets; the induced linear feasibility problem is solved exactly and a
 feasible point is lifted to a fully positive vector by adding conservation
-vectors.  The resulting linear form V(x) = v^T x certifies ergodicity once
-irreducibility is established.
+vectors, which keeps it a point of the same problem.  The resulting linear
+form V(x) = v^T x certifies ergodicity once irreducibility is established.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckFailed, UnsupportedReactionOrder, WitnessRejected
-from .lfp import LfpProblem, solve_lfp
-from .linalg import RationalMatrix
+from .lfp import LfpProblem, solve_lfp, witness_satisfies, witness_violation
 
 
 @dataclass(frozen=True)
@@ -29,19 +28,6 @@ class ReactionClassification:
     binary: tuple
     remainder: tuple
     unit_vectors: dict  # k -> reactant index in the unconserved block
-
-    @property
-    def k_q(self):
-        return len(self.binary)
-
-
-@dataclass(frozen=True)
-class DriftSystem:
-    a: RationalMatrix  # d_u x d
-    m_q: RationalMatrix  # d x K_q
-    problem: LfpProblem
-    d_u: int
-    d: int
 
 
 @dataclass(frozen=True)
@@ -89,12 +75,13 @@ def classify_reactions(net, cs=None):
 
 
 def build_drift_system(rc, net, cs=None):
-    """Assemble the drift matrices and the feasibility problem.
+    """The drift feasibility problem over v in Q^d.
 
     Constraints: A v <= -1 (strict negativity encoded exactly as in a
     cone: any strictly negative solution rescales to satisfy <= -1),
-    M_q^T v = 0, and the B block B v <= -1, i.e. v_u >= 1, posed as lower
-    bounds on the unconserved coordinates; conserved coordinates are free.
+    M_q^T v = 0, one row per binary reaction, and the B block B v <= -1,
+    i.e. v_u >= 1, posed as lower bounds on the unconserved coordinates;
+    conserved coordinates are free.
     """
     d = net.num_species
     d_u = cs.d_u if cs is not None else d
@@ -106,24 +93,15 @@ def build_drift_system(rc, net, cs=None):
             if z:
                 a_rows[i][j] = a_rows[i].get(j, 0) + r.rate * z
     a_rows = [{j: v for j, v in row.items() if v != 0} for row in a_rows]
-    a = RationalMatrix(d_u, d, a_rows)
-
-    mq_rows = [{} for _ in range(d)]
-    for col, k in enumerate(rc.binary):
-        for i, z in enumerate(net.reactions[k].displacement):
-            if z:
-                mq_rows[i][col] = z
-    m_q = RationalMatrix(d, rc.k_q, mq_rows)
-
-    eq = [dict(r) for r in m_q.transpose().rows]
+    eq_rows = [
+        {i: z for i, z in enumerate(net.reactions[k].displacement) if z}
+        for k in rc.binary
+    ]
     lower = [1] * d_u + [None] * (d - d_u)
-    problem = LfpProblem.build(
-        [dict(r) for r in a.rows], [-1] * d_u, eq, [0] * rc.k_q, d, lower
-    )
-    return DriftSystem(a=a, m_q=m_q, problem=problem, d_u=d_u, d=d)
+    return LfpProblem.build(a_rows, [-1] * d_u, eq_rows, [0] * len(eq_rows), d, lower)
 
 
-def _positivize(w, ds, cs):
+def _positivize(w, cs):
     """Add alpha_r * gamma_r (alpha doubled from 1) until every conserved
     entry in each relation's support is strictly positive.
 
@@ -144,68 +122,56 @@ def _positivize(w, ds, cs):
     return tuple(v), tuple(alphas)
 
 
-def _certificate(w, ds, cs):
+def _certificate(w, problem, cs):
     """Lift a valid witness to a full certificate and re-check it by exact
     substitution; a certificate that fails is never returned."""
-    v, alphas = _positivize(w, ds, cs)
+    v, alphas = _positivize(w, cs)
     cert = LyapunovCertificate(
         w=tuple(w),
         v_positive=v,
         alphas=alphas,
-        drift_margin=tuple(ds.a.matvec(list(w))),
+        drift_margin=problem.a.matvec(w),
     )
-    if not verify_certificate(cert, ds):
+    if not verify_certificate(cert, problem):
         raise InternalCheckFailed("Lyapunov certificate fails its exact re-check")
     return cert
 
 
-def check_negative_drift(ds, cs=None):
+def check_negative_drift(problem, cs=None):
     """Solve the drift feasibility problem; return a certificate or None.
 
     Infeasibility is not a disproof (the condition is sufficient only).
     """
-    outcome = solve_lfp(ds.problem)
+    outcome = solve_lfp(problem)
     if not outcome.feasible:
         return None
-    return _certificate(outcome.witness, ds, cs)
+    return _certificate(outcome.witness, problem, cs)
 
 
-def witness_violation(w, ds):
-    """Name of the first violated witness condition, or None if valid."""
-    if len(w) != ds.d:
-        return "dimension"
-    for i in range(ds.d_u):
-        if w[i] < 1:
-            return "B-block"
-    for i, row in enumerate(ds.a.rows):
-        if sum((v * w[j] for j, v in row.items()), Fraction(0)) > -1:
-            return "A-block"
-    for row in ds.m_q.transpose().rows:
-        if sum((v * w[j] for j, v in row.items()), Fraction(0)) != 0:
-            return "binary-equality"
-    return None
+# user-facing names of the drift problem's constraint blocks
+_BLOCK_NAMES = {"lower": "B-block", "ineq": "A-block", "eq": "binary-equality"}
 
 
-def certificate_from_witness(w, ds, cs=None):
+def certificate_from_witness(w, problem, cs=None):
     """Validate an externally supplied witness and lift it to a full
     certificate; raises WitnessRejected naming the violated constraint, and
     InternalCheckFailed if the lifted certificate fails its re-check."""
     w = tuple(Fraction(x) for x in w)
-    violation = witness_violation(w, ds)
+    if len(w) != problem.num_vars:
+        raise WitnessRejected("dimension")
+    violation = witness_violation(problem, w)
     if violation is not None:
-        raise WitnessRejected(violation)
-    return _certificate(w, ds, cs)
+        raise WitnessRejected(_BLOCK_NAMES[violation])
+    return _certificate(w, problem, cs)
 
 
-def verify_certificate(cert, ds):
-    """Independent re-check of a certificate by exact substitution."""
-    if witness_violation(cert.w, ds) is not None:
-        return False
-    v = list(cert.v_positive)
-    if any(x <= 0 for x in v):
-        return False
-    if any(val >= 0 for val in ds.a.matvec(v)):
-        return False
-    if any(val != 0 for val in ds.m_q.transpose().matvec(v)):
-        return False
-    return True
+def verify_certificate(cert, problem):
+    """Independent re-check by exact substitution: w and v_positive are both
+    points of the drift problem, v_positive > 0 and drift_margin = A w."""
+    points = (cert.w, cert.v_positive)
+    n = problem.num_vars
+    return (
+        all(len(p) == n and witness_satisfies(problem, p) for p in points)
+        and all(x > 0 for x in cert.v_positive)
+        and problem.a.matvec(cert.w) == tuple(cert.drift_margin)
+    )

@@ -74,17 +74,22 @@ class LfpOutcome:
         return self.status == FEASIBLE
 
 
-def witness_satisfies(problem, v):
-    """Exact substitution check of every constraint (zero tolerance)."""
+def witness_violation(problem, v):
+    """Exact substitution check of every constraint (zero tolerance): the
+    first violated block, "lower", "ineq" or "eq", or None if v is feasible."""
     if len(v) != problem.num_vars:
         raise DimensionMismatch("witness length mismatch")
     if any(lo is not None and x < lo for x, lo in zip(v, problem.lower)):
-        return False
-    av = problem.a.matvec(list(v))
-    if any(lhs > rhs for lhs, rhs in zip(av, problem.b)):
-        return False
-    aeqv = problem.a_eq.matvec(list(v))
-    return all(lhs == rhs for lhs, rhs in zip(aeqv, problem.b_eq))
+        return "lower"
+    if any(lhs > rhs for lhs, rhs in zip(problem.a.matvec(v), problem.b)):
+        return "ineq"
+    if any(lhs != rhs for lhs, rhs in zip(problem.a_eq.matvec(v), problem.b_eq)):
+        return "eq"
+    return None
+
+
+def witness_satisfies(problem, v):
+    return witness_violation(problem, v) is None
 
 
 def solve_lfp(problem):

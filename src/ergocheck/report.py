@@ -158,11 +158,11 @@ def analyze(
 
     start = time.perf_counter()
     rc = drift_mod.classify_reactions(net, cs)
-    ds = drift_mod.build_drift_system(rc, net, cs)
+    problem = drift_mod.build_drift_system(rc, net, cs)
     if witness is not None:
-        cert = drift_mod.certificate_from_witness(witness, ds, cs)
+        cert = drift_mod.certificate_from_witness(witness, problem, cs)
     else:
-        cert = drift_mod.check_negative_drift(ds, cs)
+        cert = drift_mod.check_negative_drift(problem, cs)
     timings["drift"] = time.perf_counter() - start
 
     if irr.status == irr_mod.NECESSARY_CONDITION_FAILED:
@@ -187,7 +187,7 @@ def analyze(
         conserved=cs,
         irreducibility=irr,
         classification=rc,
-        drift_system=ds,
+        drift_system=problem,
         certificate=cert,
         drift_status=DRIFT_CERTIFIED if cert is not None else DRIFT_INFEASIBLE,
         unsupported_reason="",

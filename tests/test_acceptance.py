@@ -111,7 +111,7 @@ def test_criterion_2_oscillator_witness_verification(oscillator_text):
     cert = report.certificate
     ds = report.drift_system
     assert cert.w == tuple(Fraction(x) for x in OSCILLATOR_WITNESS)
-    assert ds.m_q.transpose().matvec(list(cert.w)) == (0, 0, 0)
+    assert ds.a_eq.matvec(cert.w) == (0, 0, 0)
     assert cert.drift_margin == (-1, -1, -1, -1, -1)
     assert all(x > 0 for x in cert.v_positive)
     assert verify_certificate(cert, ds)

@@ -256,7 +256,7 @@ class TestVerify:
     ):
         w = self.witness_file(tmp_path, self.OSC_W)
         monkeypatch.setattr(
-            drift_mod, "_positivize", lambda w, ds, cs: ((Fraction(0),) * len(w), ())
+            drift_mod, "_positivize", lambda w, cs: ((Fraction(0),) * len(w), ())
         )
         result = run(
             runner, "verify", str(DATA / "oscillator.crn"), w, "--conserved-totals", "1,1"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ergocheck import (
     UnsupportedReactionOrder,
     WitnessRejected,
+    analyze,
     build_drift_system,
     certificate_from_witness,
     check_negative_drift,
@@ -15,6 +17,7 @@ from ergocheck import (
     parse_network,
     reorder_conserved_last,
     stoichiometry_matrix,
+    verify,
     verify_certificate,
 )
 from helpers import random_network_text
@@ -87,8 +90,8 @@ class TestDriftMatrix:
         net = parse_network(bd_text)
         ds = build_drift_system(classify_reactions(net), net)
         assert ds.a.to_dense() == [[-1]]
-        assert ds.m_q.ncols == 0
-        assert ds.problem.lower == (1,)  # v_u >= 1, the [-I | 0] block
+        assert ds.a_eq.nrows == 0
+        assert ds.lower == (1,)  # v_u >= 1, the [-I | 0] block
 
     def test_rates_weight_the_rows(self):
         net = parse_network("species: A B\nA -> B ; 3\nB -> 0 ; 1/2\n0 -> A ; 1\n")
@@ -101,12 +104,12 @@ class TestDriftMatrix:
     def test_oscillator_geometry(self, oscillator_text):
         ds, rc, _ = oscillator_system(oscillator_text)
         assert (ds.a.nrows, ds.a.ncols) == (5, 9)
-        assert (ds.m_q.nrows, ds.m_q.ncols) == (9, 3)
+        assert (ds.a_eq.nrows, ds.a_eq.ncols) == (3, 9)
         # v_u >= 1 on the 5 unconserved species; the conserved ones are free
-        assert ds.problem.lower == (1,) * 5 + (None,) * 4
-        # binary columns in ascending reaction order
-        col0 = [ds.m_q.entry(i, 0) for i in range(9)]
-        assert col0 == [0, -1, 0, 0, 0, -1, 1, 0, 0]
+        assert ds.lower == (1,) * 5 + (None,) * 4
+        # binary rows in ascending reaction order
+        row0 = [ds.a_eq.entry(0, i) for i in range(9)]
+        assert row0 == [0, -1, 0, 0, 0, -1, 1, 0, 0]
 
 
 class TestSolveAndVerify:
@@ -187,4 +190,41 @@ class TestSolveAndVerify:
     def test_binary_orthogonality_holds_on_certificates(self, oscillator_text):
         ds, _, cs = oscillator_system(oscillator_text)
         cert = check_negative_drift(ds, cs)
-        assert ds.m_q.transpose().matvec(list(cert.v_positive)) == (0, 0, 0)
+        assert ds.a_eq.matvec(cert.v_positive) == (0, 0, 0)
+
+
+def _with_entry(vec, i, x):
+    return vec[:i] + (Fraction(x),) + vec[i + 1 :]
+
+
+def certificate_mutants(cert, gamma):
+    """Copies of `cert` that each break one certificate condition; `gamma`
+    is a conservation vector whose first support entry is index 5."""
+    w, v, margin = cert.w, cert.v_positive, cert.drift_margin
+    return {
+        "unconserved w entry below 1": replace(cert, w=_with_entry(w, 0, Fraction(1, 2))),
+        "w off a binary equality": replace(cert, w=_with_entry(w, 6, w[6] + 1)),
+        "v off a binary equality": replace(cert, v_positive=_with_entry(v, 6, v[6] + 1)),
+        "v entry set to 0": replace(cert, v_positive=_with_entry(v, 5, 0)),
+        # moved along gamma: still a point of the problem, only v > 0 fails
+        "v entry at 0 along gamma": replace(
+            cert, v_positive=tuple(x - v[5] * g for x, g in zip(v, gamma))
+        ),
+        "drift_margin entry changed": replace(
+            cert, drift_margin=_with_entry(margin, 0, margin[0] - 1)
+        ),
+    }
+
+
+@pytest.mark.parametrize("source", ["analyze", "verify"])
+def test_verify_certificate_rejects_every_mutant(oscillator_text, source):
+    if source == "analyze":
+        report = analyze(oscillator_text, totals=(1, 1))
+    else:
+        report = verify(oscillator_text, OSCILLATOR_WITNESS, totals=(1, 1))
+    cert, ds = report.certificate, report.drift_system
+    gamma = report.conserved.gammas[0]
+    assert gamma.index(1) == 5
+    assert verify_certificate(cert, ds)
+    for name, mutant in certificate_mutants(cert, gamma).items():
+        assert not verify_certificate(mutant, ds), name

@@ -12,6 +12,7 @@ from ergocheck import (
     solve_lfp,
     stoichiometry_matrix,
     witness_satisfies,
+    witness_violation,
 )
 from ergocheck.irreducibility import _positive_flux_lfp
 from helpers import (
@@ -168,10 +169,19 @@ class TestBounds:
         assert witness_satisfies(p, (Fraction(1), Fraction(-7)))
         assert not witness_satisfies(p, (Fraction(1, 2), Fraction(0)))
 
+    def test_witness_violation_names_the_first_failed_block(self):
+        # v >= 1, v_0 <= 2, v_0 + v_1 = 3
+        p = LfpProblem.build([{0: 1}], [2], [{0: 1, 1: 1}], [3], 2, lower=[1, 1])
+        assert witness_violation(p, (1, 2)) is None
+        assert witness_violation(p, (0, 3)) == "lower"
+        assert witness_violation(p, (0, 5)) == "lower"  # eq fails too
+        assert witness_violation(p, (3, 3)) == "ineq"  # eq fails too
+        assert witness_violation(p, (2, 2)) == "eq"
+
     def test_cascade_problems_have_one_row_per_equation(self):
         net = parse_network(cascade_text(60))
         flux = _positive_flux_lfp(stoichiometry_matrix(net))
-        drift = build_drift_system(classify_reactions(net), net).problem
+        drift = build_drift_system(classify_reactions(net), net)
         for p in (flux, drift):
             assert p.a.nrows + p.a_eq.nrows == 60
             assert p.lower == (1,) * p.num_vars

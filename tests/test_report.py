@@ -62,7 +62,7 @@ class TestVerdictMapping:
         witness = (2, 1, 2, 1, 2, -half, half, -half, half)
         assert verify(oscillator_text, witness, totals=(1, 1)).verdict == "PROVEN_ERGODIC"
         monkeypatch.setattr(
-            drift_mod, "_positivize", lambda w, ds, cs: ((Fraction(0),) * len(w), ())
+            drift_mod, "_positivize", lambda w, cs: ((Fraction(0),) * len(w), ())
         )
         with pytest.raises(InternalCheckFailed):
             verify(oscillator_text, witness, totals=(1, 1))
