@@ -499,12 +499,25 @@ def _count_relation_states(weights, total, cap):
         return int(total % weights[0] == 0)
     if len(weights) == 2:
         return _residue_class(*weights, total)[1]
-    count = 0
-    for v in range(total // weights[0] + 1):
-        if count > cap:
-            break
-        count += _count_relation_states(weights[1:], total - v * weights[0], cap - count)
-    return count
+    # One frame [rest, cap, count, next value] per coordinate before the last
+    # two, which a loop walks depth first: no recursion per weight.
+    last = len(weights) - 3
+    stack = [[total, cap, 0, 0]]
+    while True:
+        frame = stack[-1]
+        rest, frame_cap, count, v = frame
+        i = len(stack) - 1
+        if v > rest // weights[i] or count > frame_cap:
+            stack.pop()
+            if not stack:
+                return count
+            stack[-1][2] += count
+            continue
+        frame[3] += 1
+        if i == last:
+            frame[2] += _residue_class(*weights[-2:], rest - v * weights[i])[1]
+        else:
+            stack.append([rest - v * weights[i], frame_cap - count, 0, 0])
 
 
 def enumerate_conserved_states(cs, totals, max_states=DEFAULT_MAX_STATES):

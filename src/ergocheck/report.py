@@ -255,9 +255,10 @@ def _run_oracle(mode, net, cs, seed, max_states):
         budget = min(max_states, cap) // n_c
         if d_u == 0 or budget < 2:
             return {"mode": "cme", "skipped": "state budget too small"}
-        per_dim = max(int(budget ** (1.0 / d_u)) - 1, 1)
-        per_dim = min(per_dim, 60)
-        bounds = [per_dim] * d_u
+        side = round(budget ** (1.0 / d_u))  # the float root may miss 16**3
+        while side**d_u > budget:  # the largest cube within the budget
+            side -= 1
+        bounds = [min(max(side - 1, 1), 60)] * d_u
         est = truncated_cme_stationary(net, bounds, cs, max_states=max_states)
         means = [est.mean(i) for i in range(net.num_species)]
         return {
@@ -363,13 +364,8 @@ def report_to_dict(report, include_timings=True):
 
 
 def render_report(report, fmt="human", include_timings=True):
-    """Render a report (or an already-serialized dict) as text."""
-    if isinstance(report, dict):
-        data = dict(report)
-        if not include_timings:
-            data.pop("timings", None)
-    else:
-        data = report_to_dict(report, include_timings=include_timings)
+    """Render a report as text."""
+    data = report_to_dict(report, include_timings=include_timings)
     if fmt == "json":
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
     if fmt != "human":

@@ -335,6 +335,20 @@ class TestConservedStates:
                 with pytest.raises(StateSpaceTooLarge):
                     enumerate_conserved_states(cs, (total,), max_states=n_c - 1)
 
+    def test_relation_of_1100_species_is_counted_without_recursion(self):
+        # one state per species; counting once recursed per weight
+        n = 1100
+        cs = ConservedStructure(
+            gammas=((1,) * n,),
+            d_u=0,
+            d_c=n,
+            permutation=tuple(range(n)),
+            relation_slices=((0, n),),
+        )
+        cs = enumerate_conserved_states(cs, (1,))
+        assert cs.n_c == n
+        assert (cs.conserved_states.sum(axis=1) == 1).all()
+
 
 def random_relations(rng):
     """A conserved structure of 1-3 relations, each over 1-4 species with

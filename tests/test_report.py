@@ -12,6 +12,8 @@ from ergocheck import (
     render_report,
     verify,
 )
+from ergocheck.report import CME_STATES_HIGH_DIM
+from helpers import cascade_text
 
 
 class TestVerdictMapping:
@@ -83,6 +85,12 @@ class TestOracleModes:
         assert report.oracle["mode"] == "cme"
         assert report.oracle["interior_strongly_connected"]
         assert report.oracle["stationary_means"][0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_cme_box_is_the_largest_cube_within_the_budget(self):
+        # 16**3 is exactly the budget; its float cube root is 15.999...
+        report = analyze(cascade_text(3), oracle="cme")
+        assert report.oracle["box"] == [15, 15, 15]
+        assert 16**3 <= CME_STATES_HIGH_DIM < 17**3
 
     def test_cme_flags_disagreement_with_disproof(self, pb_text):
         report = analyze(pb_text, oracle="cme")
