@@ -89,6 +89,7 @@ def witness_violation(problem, v):
 
 
 def witness_satisfies(problem, v):
+    """True when v satisfies every constraint exactly."""
     return witness_violation(problem, v) is None
 
 
