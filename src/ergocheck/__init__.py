@@ -80,7 +80,6 @@ from .report import (
     UNSUPPORTED,
     ErgodicityReport,
     analyze,
-    parse_report,
     render_report,
     report_to_dict,
     verify,

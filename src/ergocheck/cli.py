@@ -162,7 +162,7 @@ def main():
     """Prove ergodicity of stochastic mass-action reaction networks."""
 
 
-@main.command()
+@main.command("analyze")
 @click.argument("path", type=click.Path())
 @click.option(
     "--witness",
@@ -175,10 +175,6 @@ def main():
 def analyze_cmd(path, witness_path, totals, fmt, oracle, seed, no_timings):
     """Run the full pipeline on a network file."""
     _run(path, totals, fmt, witness_path, oracle, seed, no_timings)
-
-
-analyze_cmd.name = "analyze"
-main.add_command(analyze_cmd, name="analyze")
 
 
 @main.command()

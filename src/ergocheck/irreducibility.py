@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .lfp import LfpOutcome, LfpProblem, solve_lfp
 from .linalg import RationalMatrix, hermite_normal_form, lattice_spans_full
-from .network import StateIndex, inverse_structure, stoichiometry_matrix  # noqa: F401
+from .network import inverse_structure, stoichiometry_matrix
 
 IRREDUCIBLE_PROVEN = "IRREDUCIBLE_PROVEN"
 NECESSARY_CONDITION_FAILED = "NECESSARY_CONDITION_FAILED"
@@ -26,10 +26,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class LevelDecomposition:
-    """Producibility levels G_1, G_2, ... with cumulative sets H_l."""
+    """Producibility levels G_1, G_2, ...; H_l is the union of the first l."""
 
     levels: tuple  # tuple of frozensets of species indices
-    cumulative: tuple
     exhaustive: bool
     uncovered: frozenset
 
@@ -55,11 +54,6 @@ class ConservedClassAnalysis:
         members = np.argsort(self.labels, kind="stable")
         parts = np.split(members, np.cumsum(np.bincount(self.labels))[:-1])
         return tuple(frozenset(p.tolist()) for p in parts[: self.num_classes])
-
-    def closed_classes(self):
-        return tuple(
-            c for c, flag in zip(self.classes, self.closed_flags) if flag
-        )
 
 
 @dataclass(frozen=True)
@@ -175,17 +169,14 @@ def _levels(num_species, producible):
     species = set(range(num_species))
     h = set()
     levels = []
-    cumulative = []
     while h != species:
         g = producible(frozenset(h)) - h
         if not g:
             break
         h |= g
         levels.append(frozenset(g))
-        cumulative.append(frozenset(h))
     return LevelDecomposition(
         levels=tuple(levels),
-        cumulative=tuple(cumulative),
         exhaustive=h == species,
         uncovered=frozenset(species - h),
     )
@@ -226,7 +217,7 @@ def level_decomposition_conserved(s, cs):
 def _positive_flux_lfp(m):
     """F1/F2: M v = 0 with v >= 1, the bound posed on the variables."""
     k = m.ncols
-    return LfpProblem.build([], [], [dict(r) for r in m.rows], [0] * m.nrows, k, [1] * k)
+    return LfpProblem.build([], [], m.rows, [0] * m.nrows, k, [1] * k)
 
 
 def check_irreducibility(net, cs=None):
@@ -237,101 +228,82 @@ def check_irreducibility(net, cs=None):
     forward levels, positive-flux feasibility, inverse levels.  Rank,
     lattice, class-count and feasibility failures are failures of
     necessary conditions; level failures are inconclusive since the level
-    construction is sufficient only.
+    construction is sufficient only.  Every condition is posed on M-bar,
+    the rows of the d_u unconserved species (all d without conservation).
     """
     m = stoichiometry_matrix(net)
     s = net.structure()
     conserved = cs is not None and cs.d_c > 0
-    if conserved:
-        m_bar = RationalMatrix(
-            cs.d_u, m.ncols, [dict(r) for r in m.rows[: cs.d_u]]
-        )
-        target_rank = cs.d_u
-    else:
-        m_bar = m
-        target_rank = net.num_species
+    d_u = cs.d_u if conserved else net.num_species
+    m_bar = RationalMatrix(d_u, m.ncols, m.rows[:d_u])
+    common = {}
+
+    def verdict(status, condition=None, diagnostic=""):
+        return IrreducibilityVerdict(status, condition, diagnostic=diagnostic, **common)
+
+    def levels(structure):
+        if conserved:
+            return level_decomposition_conserved(structure, cs)
+        return level_decomposition(structure)
 
     hnf = hermite_normal_form(m_bar)
     rank_value = len(hnf.pivots)
-    common = dict(rank_value=rank_value, rank_required=target_rank)
-    if rank_value != target_rank:
-        return IrreducibilityVerdict(
-            NECESSARY_CONDITION_FAILED,
-            "rank",
-            diagnostic=f"rank {rank_value} < {target_rank}",
-            **common,
-        )
+    common.update(rank_value=rank_value, rank_required=d_u)
+    if rank_value != d_u:
+        return verdict(NECESSARY_CONDITION_FAILED, "rank", f"rank {rank_value} < {d_u}")
 
-    pivots = tuple(p for _, _, p in hnf.pivots)
-    lattice_ok = lattice_spans_full(m_bar, target_rank, hnf=hnf)
-    common.update(lattice_ok=lattice_ok, hnf_pivots=pivots)
+    lattice_ok = lattice_spans_full(hnf, d_u)
+    common.update(lattice_ok=lattice_ok, hnf_pivots=tuple(p for _, _, p in hnf.pivots))
     if not lattice_ok:
-        return IrreducibilityVerdict(
+        return verdict(
             NECESSARY_CONDITION_FAILED,
             "lattice",
-            diagnostic="integer column span is a proper sublattice",
-            **common,
+            "integer column span is a proper sublattice",
         )
 
-    analysis = None
     if conserved:
         if not cs.n_c:
-            return IrreducibilityVerdict(
+            return verdict(
                 NECESSARY_CONDITION_FAILED,
                 "eta",
-                diagnostic="EmptyConservedSpace: no conserved state matches the totals",
-                **common,
+                "EmptyConservedSpace: no conserved state matches the totals",
             )
-        analysis = conserved_class_analysis(s, cs, frozenset(range(cs.d_u)))
+        analysis = conserved_class_analysis(s, cs, frozenset(range(d_u)))
         common.update(class_analysis=analysis)
         if analysis.num_classes != 1 or analysis.eta != 1:
-            return IrreducibilityVerdict(
+            return verdict(
                 NECESSARY_CONDITION_FAILED,
                 "eta",
-                diagnostic=(
-                    f"{analysis.num_classes} equivalence classes"
-                    f" ({analysis.eta} closed); need a single closed class"
-                    " covering the conserved states"
-                ),
-                **common,
+                f"{analysis.num_classes} equivalence classes"
+                f" ({analysis.eta} closed); need a single closed class"
+                " covering the conserved states",
             )
 
-    forward = (
-        level_decomposition_conserved(s, cs) if conserved else level_decomposition(s)
-    )
+    forward = levels(s)
     common.update(forward_levels=forward)
     if not forward.exhaustive:
-        return IrreducibilityVerdict(
+        return verdict(
             INCONCLUSIVE,
             "forward-exhaustive",
-            diagnostic=f"species not producible from nothing: {sorted(forward.uncovered)}",
-            **common,
+            f"species not producible from nothing: {sorted(forward.uncovered)}",
         )
 
     lfp_outcome = solve_lfp(_positive_flux_lfp(m_bar))
     common.update(lfp_outcome=lfp_outcome)
     if not lfp_outcome.feasible:
-        return IrreducibilityVerdict(
+        return verdict(
             NECESSARY_CONDITION_FAILED,
             "lfp",
-            diagnostic="no strictly positive flux vector with zero net effect",
-            **common,
+            "no strictly positive flux vector with zero net effect",
         )
 
-    inv = inverse_structure(s)
-    inverse = (
-        level_decomposition_conserved(inv, cs) if conserved else level_decomposition(inv)
-    )
+    inverse = levels(inverse_structure(s))
     common.update(inverse_levels=inverse)
     if not inverse.exhaustive:
-        return IrreducibilityVerdict(
+        return verdict(
             INCONCLUSIVE,
             "inverse-exhaustive",
-            diagnostic=(
-                "inverse structure leaves species uncovered: "
-                f"{sorted(inverse.uncovered)}"
-            ),
-            **common,
+            f"inverse structure leaves species uncovered: {sorted(inverse.uncovered)}",
         )
 
-    return IrreducibilityVerdict(IRREDUCIBLE_PROVEN, None, **common)
+    return verdict(IRREDUCIBLE_PROVEN)

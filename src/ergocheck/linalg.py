@@ -51,9 +51,6 @@ class RationalMatrix:
                     rows[i][j] = v
         return cls(nrows, len(columns), rows)
 
-    def entry(self, i, j):
-        return Fraction(self.rows[i].get(j, 0))
-
     def to_dense(self):
         return [
             [Fraction(self.rows[i].get(j, 0)) for j in range(self.ncols)]
@@ -263,11 +260,7 @@ def hermite_normal_form(mat):
     return HnfResult(h=h, u=u, pivots=tuple(pivots))
 
 
-def lattice_spans_full(mat, dim, hnf=None):
-    """True iff the integer column lattice of `mat` equals Z^dim.
-
-    Decided from the Hermite normal form: full rank with every pivot 1.
-    """
-    if hnf is None:
-        hnf = hermite_normal_form(mat)
+def lattice_spans_full(hnf, dim):
+    """True iff the integer column lattice of the matrix with Hermite
+    normal form `hnf` equals Z^dim: full rank with every pivot 1."""
     return len(hnf.pivots) == dim and all(p == 1 for _, _, p in hnf.pivots)

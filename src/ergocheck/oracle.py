@@ -34,6 +34,7 @@ from .network import DEFAULT_MAX_STATES, StateIndex, cross_rows
 
 RATE_GUARD = 1e15
 BOUNDARY_MASS_THRESHOLD = 1e-8
+NUM_BATCHES = 20  # batch-means windows
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,16 +208,16 @@ def time_average(traj):
     return (total / traj.t_end).tolist()
 
 
-def batch_means(traj, species, num_batches=20):
-    """Per-batch time averages of one species over equal windows of
-    [0, t_end].
+def batch_means(traj, species):
+    """Per-batch time averages of one species over NUM_BATCHES equal
+    windows of [0, t_end].
 
     Batch means tame trajectory autocorrelation; the standard error of
     their mean is a valid uncertainty estimate for the overall average.
     Each holding interval is split at the window edges it crosses, and the
     pieces are added to the window sums in state order.
     """
-    edges = np.linspace(0.0, traj.t_end, num_batches + 1)
+    edges = np.linspace(0.0, traj.t_end, NUM_BATCHES + 1)
     times = traj.times
     values = traj.states[:, species].astype(float)
     # the pieces lie between consecutive jump times and edges; each is held
@@ -225,11 +226,11 @@ def batch_means(traj, species, num_batches=20):
     lo, hi = cuts[:-1], cuts[1:]
     state = np.searchsorted(times, lo, side="right") - 1
     window = np.searchsorted(edges, lo, side="right") - 1
-    sums = np.zeros(num_batches)
+    sums = np.zeros(NUM_BATCHES)
     np.add.at(sums, window, values[state] * (hi - lo))
-    width = traj.t_end / num_batches
+    width = traj.t_end / NUM_BATCHES
     means = sums / width
-    se = float(np.std(means, ddof=1) / np.sqrt(num_batches))
+    se = float(np.std(means, ddof=1) / np.sqrt(NUM_BATCHES))
     return means, se
 
 

@@ -373,11 +373,6 @@ def render_report(report, fmt="human", include_timings=True):
     return _render_human(data)
 
 
-def parse_report(text):
-    """Inverse of the JSON rendering."""
-    return json.loads(text)
-
-
 def _fmt_levels(levels):
     return " ".join(
         f"G{l + 1}={{{','.join(g)}}}" for l, g in enumerate(levels)

@@ -11,7 +11,6 @@ import pytest
 from click.testing import CliRunner
 
 import ergocheck.drift as drift_mod
-from ergocheck import parse_report
 from ergocheck.cli import EXIT_CODES, INTERNAL_ERROR_EXIT, main
 from conftest import DATA
 
@@ -60,7 +59,7 @@ class TestExitCodes:
         ):
             p.write_text(text)
             result = run(runner, "analyze", str(p), *args)
-            data = parse_report(result.stdout)
+            data = json.loads(result.stdout)
             assert data["verdict"] == verdict
             assert result.exit_code == EXIT_CODES[verdict]
             assert data["oracle"] == {
@@ -75,7 +74,7 @@ class TestExitCodes:
         args = ("--oracle", "ssa", "--format", "json", "--no-timings")
         result = run(runner, "analyze", str(p), *args)
         assert result.exit_code == 0
-        data = parse_report(result.stdout)
+        data = json.loads(result.stdout)
         assert data["verdict"] == "PROVEN_ERGODIC"
         assert data["oracle"] == {
             "mode": "ssa",
@@ -134,7 +133,7 @@ class TestJsonOutput:
         first = run(runner, *args).output
         second = run(runner, *args).output
         assert first == second
-        data = parse_report(first)
+        data = json.loads(first)
         assert json.dumps(data, sort_keys=True, indent=2) + "\n" == first
         assert data["verdict"] == "PROVEN_ERGODIC"
         assert data["drift"]["status"] == "certified"
@@ -155,7 +154,7 @@ class TestJsonOutput:
             "json",
             "--no-timings",
         )
-        data = parse_report(result.output)
+        data = json.loads(result.output)
         entries = data["drift"]["lyapunov_vector"]
         assert all(isinstance(e, str) for e in entries)
         assert "1/2" in entries and "3/2" in entries
@@ -167,7 +166,7 @@ class TestJsonOutput:
         result = run(
             runner, "analyze", str(DATA / "bd.crn"), "--format", "json", "--no-timings"
         )
-        data = parse_report(result.output)
+        data = json.loads(result.output)
         expected = hashlib.sha256((DATA / "bd.crn").read_bytes()).hexdigest()
         assert data["input_sha256"] == expected
 
@@ -294,7 +293,7 @@ class TestStateBoundOverride:
         )
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 0  # the verdict's code: the proof stands
-        oracle = parse_report(result.stdout)["oracle"]
+        oracle = json.loads(result.stdout)["oracle"]
         assert oracle["mode"] == "ssa"
         assert "jumps" in oracle["error"]
 

@@ -108,7 +108,7 @@ class TestDriftMatrix:
         # v_u >= 1 on the 5 unconserved species; the conserved ones are free
         assert ds.lower == (1,) * 5 + (None,) * 4
         # binary rows in ascending reaction order
-        row0 = [ds.a_eq.entry(0, i) for i in range(9)]
+        row0 = [ds.a_eq.rows[0].get(i, 0) for i in range(9)]
         assert row0 == [0, -1, 0, 0, 0, -1, 1, 0, 0]
 
 

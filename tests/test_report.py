@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from ergocheck import (
     MissingTotals,
     WitnessRejected,
     analyze,
-    parse_report,
     render_report,
     verify,
 )
@@ -102,15 +102,13 @@ class TestRendering:
     def test_json_round_trip_identity(self, oscillator_text):
         report = analyze(oscillator_text, totals=(1, 1))
         blob = render_report(report, fmt="json", include_timings=False)
-        data = parse_report(blob)
-        import json
-
+        data = json.loads(blob)
         assert json.dumps(data, sort_keys=True, indent=2) + "\n" == blob
 
     def test_timings_toggle(self, bd_text):
         report = analyze(bd_text)
-        with_t = parse_report(render_report(report, fmt="json"))
-        without = parse_report(render_report(report, fmt="json", include_timings=False))
+        with_t = json.loads(render_report(report, fmt="json"))
+        without = json.loads(render_report(report, fmt="json", include_timings=False))
         assert "timings" in with_t
         assert "timings" not in without
 
