@@ -57,7 +57,8 @@ class UnsupportedReactionOrder(ErgocheckError):
 
 
 class PropensityOverflow(ErgocheckError):
-    """Total jump rate exceeded the numeric guard during simulation."""
+    """Total jump rate exceeded the numeric guard during simulation, or a
+    rate constant lies beyond the float range."""
 
 
 class WitnessRejected(InputError):

@@ -61,6 +61,20 @@ class StationaryEstimate:
         return sum((self.probabilities * self.states[:, coordinate]).tolist())
 
 
+def _float_rates(net):
+    """The rate constants as floats, in reaction order; one beyond the
+    float range raises PropensityOverflow."""
+    rates = []
+    for k, r in enumerate(net.reactions):
+        try:
+            rates.append(float(r.rate))
+        except OverflowError:
+            raise PropensityOverflow(
+                f"rate of reaction {k + 1} exceeds the float range"
+            ) from None
+    return rates
+
+
 def _propensity(x, rate, need):
     """A closure over the live state list `x` that returns one reaction's
     mass-action propensity.
@@ -132,9 +146,7 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
     moves = [[(i, z) for i, z in enumerate(row) if z] for row in rows]
     initial = tuple(int(v) for v in x0)
     x = list(initial)
-    rate_of = [
-        _propensity(x, float(r.rate), need) for r, need in zip(net.reactions, needs)
-    ]
+    rate_of = [_propensity(x, rate, need) for rate, need in zip(_float_rates(net), needs)]
     # (j, closure) for the reactions whose propensity reads a species that
     # reaction k changes
     affected = [
@@ -260,6 +272,7 @@ def _build_chain(net, bounds, cs, max_states):
         box = cross_rows(box, cs.conserved_states)
     index = StateIndex(box)
     x = index.states
+    rates = _float_rates(net)
     empty = np.empty(0, dtype=np.intp)
     edges = [(empty, empty, empty, np.empty(0))]  # typed even with no transition
     for k, r in enumerate(net.reactions):
@@ -274,7 +287,7 @@ def _build_chain(net, bounds, cs, max_states):
                     falling *= xc - step
                 falling /= math.factorial(v)
         dst = np.where(found, j, -1)  # -1: the target leaves the box
-        edges.append((i, dst, np.full(len(i), k), float(r.rate) * falling))
+        edges.append((i, dst, np.full(len(i), k), rates[k] * falling))
     return _Chain(x, *map(np.concatenate, zip(*edges)))
 
 

@@ -240,6 +240,8 @@ def _ssa_run(net, cs, x0, seed, max_states):
 
 def _run_oracle(mode, net, cs, seed, max_states):
     if mode == "ssa":
+        if not net.num_species:
+            return {"mode": "ssa", "skipped": "no species"}
         runs = []
         constant = True
         for variant in (0, 1):
@@ -253,12 +255,14 @@ def _run_oracle(mode, net, cs, seed, max_states):
         n_c = max(cs.n_c, 1) if cs is not None else 1
         cap = CME_STATES if d_u <= 2 else CME_STATES_HIGH_DIM
         budget = min(max_states, cap) // n_c
-        if d_u == 0 or budget < 2:
+        # the largest cube within the budget, at most 61 states a side; a
+        # box with no unconserved species has no side
+        side = 1
+        while d_u and side < 61 and (side + 1) ** d_u <= budget:
+            side += 1
+        if side < 2:
             return {"mode": "cme", "skipped": "state budget too small"}
-        side = round(budget ** (1.0 / d_u))  # the float root may miss 16**3
-        while side**d_u > budget:  # the largest cube within the budget
-            side -= 1
-        bounds = [min(max(side - 1, 1), 60)] * d_u
+        bounds = [side - 1] * d_u
         est = truncated_cme_stationary(net, bounds, cs, max_states=max_states)
         means = [est.mean(i) for i in range(net.num_species)]
         return {

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 from click.testing import CliRunner
 
 from ergocheck import (
@@ -35,7 +36,7 @@ from ergocheck import (
     witness_satisfies,
 )
 from ergocheck.cli import main as cli_main
-from ergocheck.irreducibility import reachability_closure
+from ergocheck.irreducibility import closed_classes, reachability_closure
 from ergocheck.oracle import batch_means
 from helpers import (
     bfs_reachability,
@@ -206,8 +207,8 @@ def test_criterion_5b_lfp_grid_oracle():
     _ok(5, f"(b) 500 grid-oracle instances agree ({feas} feasible); cycling set OK")
 
 
-def test_criterion_5c_reachability_vs_bfs():
-    rng = random.Random(31337)
+def _digraphs(rng):
+    """504 random 0/1 adjacency matrices, n up to 300."""
     graphs = []
     for _ in range(500):
         n = rng.randint(1, 12)
@@ -219,6 +220,11 @@ def test_criterion_5c_reachability_vs_bfs():
         graphs.append(
             [[1 if rng.random() < 0.01 else 0 for _ in range(n)] for _ in range(n)]
         )
+    return graphs
+
+
+def test_criterion_5c_reachability_vs_bfs():
+    graphs = _digraphs(random.Random(31337))
     for z in graphs:
         got = reachability_closure(z)
         assert [[int(v) for v in row] for row in got] == bfs_reachability(z)
@@ -226,6 +232,29 @@ def test_criterion_5c_reachability_vs_bfs():
         5,
         f"(c) boolean matrix-power reachability equals BFS on {len(graphs)}"
         " digraphs, n up to 300",
+    )
+
+
+def test_criterion_5c_closed_classes_vs_bfs():
+    rng = random.Random(31337)
+    graphs = _digraphs(rng)
+    for z in graphs:
+        adj = np.array(z, dtype=bool).reshape(len(z), len(z))
+        src, dst = np.nonzero(adj)
+        # a third of the edges repeated, as per-reaction edge lists can
+        again = rng.sample(range(len(src)), len(src) // 3)
+        labels, closed = closed_classes(
+            len(z), np.concatenate([src, src[again]]), np.concatenate([dst, dst[again]])
+        )
+        reach = np.array(bfs_reachability(z), dtype=bool)
+        assert ((labels[:, None] == labels[None, :]) == (reach & reach.T)).all()
+        for c, flag in enumerate(closed):
+            inside = labels == c
+            assert flag == (not adj[np.ix_(inside, ~inside)].any())
+    _ok(
+        5,
+        f"(c) strong components and closed classes equal BFS on {len(graphs)}"
+        " digraphs with repeated edges, n up to 300",
     )
 
 

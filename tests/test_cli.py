@@ -13,6 +13,7 @@ from click.testing import CliRunner
 import ergocheck.drift as drift_mod
 from ergocheck.cli import EXIT_CODES, INTERNAL_ERROR_EXIT, main
 from conftest import DATA
+from helpers import cascade_text
 
 
 @pytest.fixture
@@ -79,6 +80,45 @@ class TestExitCodes:
         assert data["oracle"] == {
             "mode": "ssa",
             "error": "total rate 1e+16 exceeds guard",
+        }
+
+    @pytest.mark.parametrize(
+        "text, mode, oracle",
+        [
+            (
+                "0 -> S ; 1e400\nS -> 0 ; 1e400\n",
+                mode,
+                {"mode": mode, "error": "rate of reaction 1 exceeds the float range"},
+            )
+            for mode in ("ssa", "cme")
+        ]
+        + [("0 -> 0 ; 1\n", "ssa", {"mode": "ssa", "skipped": "no species"})],
+    )
+    def test_oracle_failure_is_recorded_in_the_report(
+        self, runner, tmp_path, text, mode, oracle
+    ):
+        # a rate beyond the float range, and an SSA with no species to track
+        p = tmp_path / "n.crn"
+        p.write_text(text)
+        args = ("--oracle", mode, "--format", "json", "--no-timings")
+        result = run(runner, "analyze", str(p), *args)
+        assert result.exit_code == 0
+        data = json.loads(result.stdout)
+        assert data["verdict"] == "PROVEN_ERGODIC"
+        assert data["oracle"] == oracle
+        assert result.stderr == ""
+
+    def test_cme_box_beyond_the_budget_is_skipped_quickly(self, runner, tmp_path):
+        # 2**13 states exceed the 4,096-state budget: no box is built
+        p = tmp_path / "c13.crn"
+        p.write_text(cascade_text(13))
+        start = time.perf_counter()
+        result = run(runner, "analyze", str(p), "--oracle", "cme", "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["oracle"] == {
+            "mode": "cme",
+            "skipped": "state budget too small",
         }
 
     def test_missing_file(self, runner, tmp_path):
