@@ -146,7 +146,8 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
     moves = [[(i, z) for i, z in enumerate(row) if z] for row in rows]
     initial = tuple(int(v) for v in x0)
     x = list(initial)
-    rate_of = [_propensity(x, rate, need) for rate, need in zip(_float_rates(net), needs)]
+    rates = _float_rates(net)
+    rate_of = [_propensity(x, rate, need) for rate, need in zip(rates, needs)]
     # (j, closure) for the reactions whose propensity reads a species that
     # reaction k changes
     affected = [

@@ -71,42 +71,34 @@ class TestExitCodes:
 
     def test_propensity_overflow_is_recorded_in_the_report(self, runner, tmp_path):
         p = tmp_path / "fast.crn"
-        p.write_text("0 -> S ; 10000000000000000\nS -> 0 ; 1\n")
+        huge = "0 -> S ; 1e400\nS -> 0 ; 1e400\n"  # beyond the float range
+        for text, mode, error in (
+            (
+                "0 -> S ; 10000000000000000\nS -> 0 ; 1\n",
+                "ssa",
+                "total rate 1e+16 exceeds guard",
+            ),
+            (huge, "ssa", "rate of reaction 1 exceeds the float range"),
+            (huge, "cme", "rate of reaction 1 exceeds the float range"),
+        ):
+            p.write_text(text)
+            args = ("--oracle", mode, "--format", "json", "--no-timings")
+            result = run(runner, "analyze", str(p), *args)
+            assert result.exit_code == 0
+            data = json.loads(result.stdout)
+            assert data["verdict"] == "PROVEN_ERGODIC"
+            assert data["oracle"] == {"mode": mode, "error": error}
+            assert result.stderr == ""
+
+    def test_ssa_without_species_is_skipped(self, runner, tmp_path):
+        p = tmp_path / "empty.crn"
+        p.write_text("0 -> 0 ; 1\n")
         args = ("--oracle", "ssa", "--format", "json", "--no-timings")
         result = run(runner, "analyze", str(p), *args)
         assert result.exit_code == 0
         data = json.loads(result.stdout)
         assert data["verdict"] == "PROVEN_ERGODIC"
-        assert data["oracle"] == {
-            "mode": "ssa",
-            "error": "total rate 1e+16 exceeds guard",
-        }
-
-    @pytest.mark.parametrize(
-        "text, mode, oracle",
-        [
-            (
-                "0 -> S ; 1e400\nS -> 0 ; 1e400\n",
-                mode,
-                {"mode": mode, "error": "rate of reaction 1 exceeds the float range"},
-            )
-            for mode in ("ssa", "cme")
-        ]
-        + [("0 -> 0 ; 1\n", "ssa", {"mode": "ssa", "skipped": "no species"})],
-    )
-    def test_oracle_failure_is_recorded_in_the_report(
-        self, runner, tmp_path, text, mode, oracle
-    ):
-        # a rate beyond the float range, and an SSA with no species to track
-        p = tmp_path / "n.crn"
-        p.write_text(text)
-        args = ("--oracle", mode, "--format", "json", "--no-timings")
-        result = run(runner, "analyze", str(p), *args)
-        assert result.exit_code == 0
-        data = json.loads(result.stdout)
-        assert data["verdict"] == "PROVEN_ERGODIC"
-        assert data["oracle"] == oracle
-        assert result.stderr == ""
+        assert data["oracle"] == {"mode": "ssa", "skipped": "no species"}
 
     def test_cme_box_beyond_the_budget_is_skipped_quickly(self, runner, tmp_path):
         # 2**13 states exceed the 4,096-state budget: no box is built
