@@ -1,10 +1,11 @@
 """Irreducibility checks for the candidate state space.
 
-Two paths: no conservation (candidate space is the full nonnegative
-integer lattice) and conserved (product of a lattice over the unconserved
-species with the finite enumerated conserved set).  Both combine exact
-rank/lattice/feasibility conditions with the producibility level
-construction run forwards and on the arrow-flipped structure.
+One list of conditions for two candidate spaces: without conservation
+the full nonnegative integer lattice, with it the product of a lattice
+over the unconserved species with the finite enumerated conserved set.
+It combines exact rank/lattice/feasibility conditions with the
+producibility level construction run forwards and on the arrow-flipped
+structure.
 """
 
 from __future__ import annotations
