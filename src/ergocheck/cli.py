@@ -16,7 +16,7 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .errors import InputError, InternalCheckFailed, StateSpaceTooLarge, WitnessRejected
+from .errors import InputError, InternalCheckFailed, WitnessRejected
 from .network import DEFAULT_MAX_STATES
 from .report import (
     INCONCLUSIVE,
@@ -93,7 +93,7 @@ def _run(path, totals, fmt, witness_path, oracle, seed, no_timings):
     except WitnessRejected as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CODES[INCONCLUSIVE])
-    except (InputError, StateSpaceTooLarge) as exc:
+    except InputError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(INPUT_ERROR_EXIT)
     except InternalCheckFailed as exc:

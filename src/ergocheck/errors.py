@@ -64,12 +64,9 @@ class PropensityOverflow(ErgocheckError):
 class WitnessRejected(InputError):
     """A user-supplied drift witness violates a certificate condition."""
 
-    def __init__(self, constraint, detail=""):
+    def __init__(self, constraint):
         self.constraint = constraint
-        msg = f"witness rejected: {constraint}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"witness rejected: {constraint}")
 
 
 class MissingTotals(InputError):

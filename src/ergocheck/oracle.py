@@ -81,8 +81,8 @@ def _propensity(x, rate, need):
 
     Every shape takes the float operations of the general loop in the same
     order: `p <= 0.0` after each reactant species returns 0.0, so -0.0
-    becomes 0.0 and a NaN passes.  Order one, `2*S` and `A + B` are
-    unrolled; any other shape runs the general loop.
+    becomes 0.0 and a NaN passes.  Order one and `A + B` are unrolled; any
+    other shape runs the general loop.
     """
     orders = [v for _, v in need]
     if orders == [1]:
@@ -93,15 +93,6 @@ def _propensity(x, rate, need):
             return 0.0 if p <= 0.0 else p
 
         return order_one
-    if orders == [2]:
-        ((i, _),) = need
-
-        def dimer():
-            xi = x[i]
-            p = rate * xi * (xi - 1) / 2
-            return 0.0 if p <= 0.0 else p
-
-        return dimer
     if orders == [1, 1]:
         (i, _), (j, _) = need
 
@@ -259,8 +250,6 @@ def _build_chain(net, bounds, cs, max_states):
     species crossed with the enumerated conserved set, and all their
     transitions.  The box size is checked against `max_states` before any
     state is built."""
-    if max_states is None:
-        max_states = DEFAULT_MAX_STATES
     conserved = cs is not None and cs.d_c > 0
     shape = [b + 1 for b in bounds[: cs.d_u if conserved else net.num_species]]
     size = math.prod(shape) * (cs.n_c if conserved else 1)
@@ -305,7 +294,7 @@ def _interior_probe(chain):
     return len(np.unique(labels[interior])) == 1, int(interior.sum())
 
 
-def truncated_cme_stationary(net, bounds, cs=None, max_states=None):
+def truncated_cme_stationary(net, bounds, cs=None, max_states=DEFAULT_MAX_STATES):
     """Stationary distribution of the reflecting-truncated chain.
 
     Transitions leaving the box are dropped (reflecting truncation); the
@@ -357,7 +346,7 @@ def truncated_cme_stationary(net, bounds, cs=None, max_states=None):
     )
 
 
-def empirical_irreducibility_probe(net, bounds, cs=None, max_states=None):
+def empirical_irreducibility_probe(net, bounds, cs=None, max_states=DEFAULT_MAX_STATES):
     """Strong connectivity of the truncated transition graph interior.
 
     Interior states are those whose every positive-propensity transition

@@ -9,6 +9,7 @@ deterministically as human text or schema-stable JSON (rationals as
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -64,25 +65,21 @@ CME_STATES_HIGH_DIM = 4096
 class ErgodicityReport:
     verdict: str
     network: object  # reordered ReactionNetwork
-    conserved: object
-    irreducibility: object
-    classification: object
-    drift_system: object
-    certificate: object
-    drift_status: str
-    unsupported_reason: str
-    oracle: dict | None
     timings: dict
     input_sha256: str
+    conserved: object = None
+    irreducibility: object = None
+    classification: object = None
+    drift_system: object = None
+    certificate: object = None
+    drift_status: str = DRIFT_SKIPPED
+    unsupported_reason: str = ""
+    oracle: dict | None = None
     version: str = __version__
 
 
 def _fr(x):
     return str(Fraction(x))
-
-
-def _hash(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def analyze(
@@ -100,37 +97,26 @@ def analyze(
     WitnessRejected.
     """
     timings = {}
-    sha = _hash(text)
+    report = functools.partial(
+        ErgodicityReport,
+        timings=timings,
+        input_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    )
     start = time.perf_counter()
     net = parse_network(text)
     timings["parse"] = time.perf_counter() - start
 
-    def unsupported(reason, cs=None, irr=None, rc=None):
-        return ErgodicityReport(
-            verdict=UNSUPPORTED,
-            network=net,
-            conserved=cs,
-            irreducibility=irr,
-            classification=rc,
-            drift_system=None,
-            certificate=None,
-            drift_status=DRIFT_SKIPPED,
-            unsupported_reason=reason,
-            oracle=None,
-            timings=timings,
-            input_sha256=sha,
-        )
-
-    if any(r.order > 2 for r in net.reactions):
-        k = next(k for k, r in enumerate(net.reactions) if r.order > 2)
-        return unsupported(str(UnsupportedReactionOrder(k)))
+    k = next((k for k, r in enumerate(net.reactions) if r.order > 2), None)
+    if k is not None:
+        reason = str(UnsupportedReactionOrder(k))
+        return report(UNSUPPORTED, net, unsupported_reason=reason)
 
     start = time.perf_counter()
     try:
         gammas = find_conservation_relations(stoichiometry_matrix(net))
     except OverlappingConservation as exc:
         timings["conservation"] = time.perf_counter() - start
-        return unsupported(str(exc))
+        return report(UNSUPPORTED, net, unsupported_reason=str(exc))
     cs = None
     if gammas:
         net, cs = reorder_conserved_last(net, gammas)
@@ -181,19 +167,16 @@ def analyze(
             oracle_data = {"mode": oracle, "error": str(exc)}  # the verdict stands
         timings["oracle"] = time.perf_counter() - start
 
-    return ErgodicityReport(
-        verdict=verdict,
-        network=net,
+    return report(
+        verdict,
+        net,
         conserved=cs,
         irreducibility=irr,
         classification=rc,
         drift_system=problem,
         certificate=cert,
         drift_status=DRIFT_CERTIFIED if cert is not None else DRIFT_INFEASIBLE,
-        unsupported_reason="",
         oracle=oracle_data,
-        timings=timings,
-        input_sha256=sha,
     )
 
 

@@ -25,6 +25,7 @@ from ergocheck import (
     time_average,
     truncated_cme_stationary,
 )
+from ergocheck.network import DEFAULT_MAX_STATES
 from ergocheck.report import CME_STATES_HIGH_DIM
 from helpers import (
     ReferenceTrajectory,
@@ -434,7 +435,7 @@ class TestChainBuilder:
     def test_matches_reference_walk(self):
         for net, bounds, cs in self.CASES:
             states = box_states(net, bounds, cs)
-            chain = oracle_mod._build_chain(net, bounds, cs, None)
+            chain = oracle_mod._build_chain(net, bounds, cs, DEFAULT_MAX_STATES)
             assert [tuple(s) for s in chain.states.tolist()] == states
             got = [
                 (i, k, j if j >= 0 else None)
