@@ -399,9 +399,13 @@ def find_conservation_relations(m):
         carried += held
         unseen -= held
     carried.sort()
-    sub = RationalMatrix(len(carried), m.ncols, [m.rows[i] for i in carried])
+    if len(carried) == len(cone):  # the basis already spans the carried rows'
+        relations = [[vec[i] for i in carried] for vec in basis]
+    else:
+        sub = RationalMatrix(len(carried), m.ncols, [m.rows[i] for i in carried])
+        relations = left_null_space(sub)
     gammas, seen = [], set()
-    for vec in left_null_space(sub):
+    for vec in relations:
         support = {i for i, v in zip(carried, vec) if v}
         if any(v < 0 for v in vec) or support & seen:
             raise OverlappingConservation(
@@ -433,7 +437,7 @@ def reorder_conserved_last(net, gammas):
         start = len(conserved)
         conserved.extend(sup)
         slices.append((start, len(conserved)))
-    unconserved = [i for i in range(d) if i not in set(conserved)]
+    unconserved = sorted(set(range(d)) - set(conserved))
     perm = tuple(unconserved + conserved)  # perm[new] = old
     d_u = len(unconserved)
 

@@ -63,7 +63,7 @@ class StationaryEstimate:
 
 def _float_rates(net):
     """The rate constants as floats, in reaction order; one beyond the
-    float range raises PropensityOverflow."""
+    float range, or positive and below it, raises PropensityOverflow."""
     rates = []
     for k, r in enumerate(net.reactions):
         try:
@@ -72,6 +72,10 @@ def _float_rates(net):
             raise PropensityOverflow(
                 f"rate of reaction {k + 1} exceeds the float range"
             ) from None
+        if rates[-1] == 0.0 and r.rate > 0:
+            raise PropensityOverflow(
+                f"rate of reaction {k + 1} is below the float range"
+            )
     return rates
 
 

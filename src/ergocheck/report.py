@@ -196,12 +196,14 @@ def _initial_states(net, cs, variant):
 def _ssa_run(net, cs, x0, seed, max_states):
     """One SSA trajectory from x0, summarised as (run, conservation_kept);
     the trajectory itself is dropped on return."""
-    # one jump past the budget tells a capped run from one that ends at it
-    traj = gillespie_simulate(net, x0, SSA_T_END, seed, max_steps=max_states + 1)
+    # a trajectory holds (jumps + 1) x d counts, so it may make max_states // d
+    # jumps; one jump past the budget tells a capped run from one that ends at it
+    budget = max_states // net.num_species
+    traj = gillespie_simulate(net, x0, SSA_T_END, seed, max_steps=budget + 1)
     jumps = len(traj.states) - 1
-    if jumps > max_states:
+    if jumps > budget:
         raise StateSpaceTooLarge(
-            f"SSA trajectory exceeded the bound of {max_states} jumps "
+            f"SSA trajectory exceeded the bound of {budget} jumps "
             f"before t = {SSA_T_END:g}"
         )
     kept = True
@@ -222,6 +224,8 @@ def _ssa_run(net, cs, x0, seed, max_states):
 
 
 def _run_oracle(mode, net, cs, seed, max_states):
+    if cs is not None and cs.n_c == 0:
+        return {"mode": mode, "skipped": "no conserved state matches the totals"}
     if mode == "ssa":
         if not net.num_species:
             return {"mode": "ssa", "skipped": "no species"}
@@ -235,7 +239,7 @@ def _run_oracle(mode, net, cs, seed, max_states):
         return {"mode": "ssa", "runs": runs, "conservation_constant": constant}
     if mode == "cme":
         d_u = cs.d_u if cs is not None else net.num_species
-        n_c = max(cs.n_c, 1) if cs is not None else 1
+        n_c = cs.n_c if cs is not None else 1
         cap = CME_STATES if d_u <= 2 else CME_STATES_HIGH_DIM
         budget = min(max_states, cap) // n_c
         # the largest cube within the budget, at most 61 states a side; a

@@ -72,6 +72,7 @@ class TestExitCodes:
     def test_propensity_overflow_is_recorded_in_the_report(self, runner, tmp_path):
         p = tmp_path / "fast.crn"
         huge = "0 -> S ; 1e400\nS -> 0 ; 1e400\n"  # beyond the float range
+        tiny = "0 -> S ; 1e-400\nS -> 0 ; 1\n"  # below it: not a rate of 0.0
         for text, mode, error in (
             (
                 "0 -> S ; 10000000000000000\nS -> 0 ; 1\n",
@@ -80,6 +81,8 @@ class TestExitCodes:
             ),
             (huge, "ssa", "rate of reaction 1 exceeds the float range"),
             (huge, "cme", "rate of reaction 1 exceeds the float range"),
+            (tiny, "ssa", "rate of reaction 1 is below the float range"),
+            (tiny, "cme", "rate of reaction 1 is below the float range"),
         ):
             p.write_text(text)
             args = ("--oracle", mode, "--format", "json", "--no-timings")
@@ -99,6 +102,22 @@ class TestExitCodes:
         data = json.loads(result.stdout)
         assert data["verdict"] == "PROVEN_ERGODIC"
         assert data["oracle"] == {"mode": "ssa", "skipped": "no species"}
+
+    def test_empty_conserved_set_is_skipped(self, runner, tmp_path):
+        # 3A + 2B = 1 has no state: the disproof stands and neither oracle runs
+        p = tmp_path / "empty.crn"
+        p.write_text("2*A -> 3*B ; 1\n0 -> X ; 1\nX -> 0 ; 1\n")
+        for mode in ("ssa", "cme"):
+            args = ("--conserved-totals", "1", "--oracle", mode, "--format", "json")
+            result = run(runner, "analyze", str(p), *args)
+            assert result.exit_code == 2
+            data = json.loads(result.stdout)
+            assert data["verdict"] == "IRREDUCIBILITY_DISPROVEN"
+            assert data["network"]["n_c"] == 0
+            assert data["oracle"] == {
+                "mode": mode,
+                "skipped": "no conserved state matches the totals",
+            }
 
     def test_cme_box_beyond_the_budget_is_skipped_quickly(self, runner, tmp_path):
         # 2**13 states exceed the 4,096-state budget: no box is built

@@ -31,6 +31,7 @@ from helpers import (
     ReferenceTrajectory,
     batch_means_reference,
     box_states,
+    cascade_text,
     box_transitions,
     exact_stationary,
     gillespie_reference,
@@ -264,6 +265,18 @@ class TestReferenceSsa:
         assert report.oracle == {
             "mode": "ssa",
             "error": "SSA trajectory exceeded the bound of 2 jumps before t = 500",
+        }
+
+    def test_jump_budget_bounds_the_state_array(self):
+        # (jumps + 1) x d counts: with d = 20 the budget of 10**4 counts
+        # allows 500 jumps, far fewer than the cascade makes by t = 500
+        start = time.perf_counter()
+        report = analyze(cascade_text(20), oracle="ssa", max_states=10**4)
+        assert time.perf_counter() - start < 1.0
+        assert report.verdict == "PROVEN_ERGODIC"
+        assert report.oracle == {
+            "mode": "ssa",
+            "error": "SSA trajectory exceeded the bound of 500 jumps before t = 500",
         }
 
     def test_conservation_is_checked_exactly_beyond_int64(self):
