@@ -399,7 +399,9 @@ def find_conservation_relations(m):
         carried += held
         unseen -= held
     carried.sort()
-    if len(carried) == len(cone):  # the basis already spans the carried rows'
+    # when every species the basis touches is carried, the basis read on the
+    # carried species is already one of their left null space
+    if len(carried) == len(cone):
         relations = [[vec[i] for i in carried] for vec in basis]
     else:
         sub = RationalMatrix(len(carried), m.ncols, [m.rows[i] for i in carried])

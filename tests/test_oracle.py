@@ -251,12 +251,22 @@ class TestReferenceSsa:
 
     def test_jump_budget_raises_quickly(self):
         # jumps grow with the rate: 0 -> S at 1000 makes about 10**6 jumps
-        # by t = 500, and ten times the rate would exhaust memory
-        start = time.perf_counter()
-        report = analyze("0 -> S ; 1000\nS -> 0 ; 1\n", oracle="ssa", max_states=10**4)
-        assert time.perf_counter() - start < 1.0
-        assert report.verdict == "PROVEN_ERGODIC"
-        assert "jumps" in report.oracle["error"]
+        # by t = 500, and ten times the rate would exhaust memory; a
+        # trajectory holds (jumps + 1) x d counts, so the 20-species cascade
+        # may make 10**4 // 20 jumps
+        for text, budget in (
+            ("0 -> S ; 1000\nS -> 0 ; 1\n", 10**4),
+            (cascade_text(20), 500),
+        ):
+            start = time.perf_counter()
+            report = analyze(text, oracle="ssa", max_states=10**4)
+            assert time.perf_counter() - start < 1.0
+            assert report.verdict == "PROVEN_ERGODIC"
+            assert report.oracle == {
+                "mode": "ssa",
+                "error": f"SSA trajectory exceeded the bound of {budget} jumps "
+                "before t = 500",
+            }
         # from (3,) three deaths absorb the chain: a run that ends exactly
         # at the budget is kept
         report = analyze("S -> 0 ; 1\n", oracle="ssa", max_states=3)
@@ -265,18 +275,6 @@ class TestReferenceSsa:
         assert report.oracle == {
             "mode": "ssa",
             "error": "SSA trajectory exceeded the bound of 2 jumps before t = 500",
-        }
-
-    def test_jump_budget_bounds_the_state_array(self):
-        # (jumps + 1) x d counts: with d = 20 the budget of 10**4 counts
-        # allows 500 jumps, far fewer than the cascade makes by t = 500
-        start = time.perf_counter()
-        report = analyze(cascade_text(20), oracle="ssa", max_states=10**4)
-        assert time.perf_counter() - start < 1.0
-        assert report.verdict == "PROVEN_ERGODIC"
-        assert report.oracle == {
-            "mode": "ssa",
-            "error": "SSA trajectory exceeded the bound of 500 jumps before t = 500",
         }
 
     def test_conservation_is_checked_exactly_beyond_int64(self):
