@@ -1,17 +1,19 @@
 """Desk-scale empirical cross-validation.
 
-Gillespie direct-method trajectories, updated after each jump along the
-reaction dependency graph by one propensity closure per reaction (the
-same float operations and RNG order as a full sweep, so reproducible bit
-for bit from a seed), kept as a float array of jump times and one
-integer array of visited states; ergodic time averages of every species
-and batch-means standard errors of one, read from the state array's
-columns and summed in state order so every float equals a state-by-state
-loop's; and the finite-state projection of the CME (Munsky & Khammash
-2006) on a box: the truncated chain is built once as arrays, its
-stationary distribution comes from one sparse floating-point solve (a
-box whose chain has other than one closed class is reported as singular
-instead of solved) and its interior is probed for strong connectivity.
+Gillespie direct-method trajectories, two uniforms a jump (Gillespie
+1977) drawn from the generator in blocks, updated after each jump along
+the reaction dependency graph by one propensity closure per reaction (the
+same float operations and random stream as a full sweep with scalar
+draws, so reproducible bit for bit from a seed), kept as a float array
+of jump times and one integer array of visited states; ergodic time
+averages of every species and batch-means standard errors of one, read
+from the state array's columns and summed in state order so every float
+equals a state-by-state loop's; and the finite-state projection of the
+CME (Munsky & Khammash 2006) on a box: the truncated chain is built once
+as arrays, its stationary distribution comes from one sparse
+floating-point solve (a box whose chain has other than one closed class
+is reported as singular instead of solved) and its interior is probed
+for strong connectivity.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .network import DEFAULT_MAX_STATES, StateIndex, cross_rows
 RATE_GUARD = 1e15
 BOUNDARY_MASS_THRESHOLD = 1e-8
 NUM_BATCHES = 20  # batch-means windows
+UNIFORM_BLOCK = 1024  # uniforms a draw; even, so a jump's pair is in one block
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,16 +127,33 @@ def _propensity(x, rate, need):
     return general
 
 
+def _uniform_pairs(rng):
+    """The generator's uniforms on [0, 1) in consecutive pairs, drawn
+    UNIFORM_BLOCK at a time."""
+    while True:
+        block = iter(rng.random(UNIFORM_BLOCK).tolist())
+        yield from zip(block, block)
+
+
 def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
     """Direct-method SSA; deterministic for a fixed seed.
+
+    Each jump takes two uniforms u1, u2 on [0, 1), as in Gillespie's
+    direct method (D. T. Gillespie, J. Phys. Chem. 81, 1977): the holding
+    time is -ln(1 - u1) / a0 for the total rate a0, and the reaction is the
+    first whose running sum exceeds u2 * a0.  The uniforms come in blocks
+    of UNIFORM_BLOCK from `rng.random`, which returns the same values as
+    that many scalar draws.  For a given seed the trajectories differ
+    from those of versions that drew an exponential and a uniform per
+    jump.
 
     After a jump only the propensities that depend on a species the fired
     reaction changed are recomputed (the dependency graph of Gibson & Bruck,
     J. Phys. Chem. A 104, 2000), each by one closure per reaction over the
     live state.  Each closure takes the same float operations in the same
     order as a full sweep, the total and the chosen reaction come from one
-    running sum in reaction order, and the RNG is drawn in the same order,
-    so a seed fixes the trajectory bit for bit.
+    running sum in reaction order, and the uniforms are used in the order
+    they are drawn, so a seed fixes the trajectory bit for bit.
     """
     rng = np.random.default_rng(seed)
     rows = [r.displacement for r in net.reactions]
@@ -161,8 +181,9 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
     jumps = 0
     times = array.array("d", [0.0])  # 8 bytes a jump, not a float object
     fired = array.array("q")
-    exponential, uniform = rng.exponential, rng.random
+    next_pair = _uniform_pairs(rng).__next__
     accumulate, bisect_right = itertools.accumulate, bisect.bisect_right
+    log1p = math.log1p
     add_time, add_fired = times.append, fired.append
     while True:
         # running sums in reaction order; never sum(), which compensates
@@ -173,10 +194,11 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
             raise PropensityOverflow(f"total rate {total:g} exceeds guard")
         if total == 0.0:
             break
-        t += exponential(1.0 / total)
+        u1, u2 = next_pair()
+        t += -log1p(-u1) / total  # ln(1 / r1) / total with r1 = 1 - u1 in (0, 1]
         if t >= t_end:
             break
-        k = bisect_right(cumulative, uniform() * total)
+        k = bisect_right(cumulative, u2 * total)
         if k > last:
             k = last
         for i, z in moves[k]:

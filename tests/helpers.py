@@ -15,6 +15,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -399,8 +400,10 @@ ReferenceTrajectory = collections.namedtuple(
 
 def gillespie_reference(net, x0, t_end, seed, max_steps=None):
     """Direct-method SSA that recomputes all K propensities on every jump
-    and sums them in reaction order; the same RNG draws in the same order
-    as `gillespie_simulate`."""
+    and sums them in reaction order, with two scalar `rng.random()` draws
+    per jump: the holding time from the first, the reaction from the
+    second.  The same stream as `gillespie_simulate`, which draws it in
+    blocks."""
     rng = np.random.default_rng(seed)
     rates = [float(r.rate) for r in net.reactions]
     reactants = [r.reactants for r in net.reactions]
@@ -430,10 +433,12 @@ def gillespie_reference(net, x0, t_end, seed, max_steps=None):
             raise PropensityOverflow(f"total rate {total:g} exceeds guard")
         if total == 0.0:
             break
-        t += rng.exponential(1.0 / total)
+        u1 = rng.random()
+        u2 = rng.random()
+        t += -math.log1p(-u1) / total
         if t >= t_end:
             break
-        u = rng.random() * total
+        u = u2 * total
         acc = 0.0
         chosen = net.num_reactions - 1
         for k, p in enumerate(props):

@@ -100,6 +100,19 @@ class TestSimulation:
         assert (np.abs(np.diff(traj.states[:, 0])) == 1).all()
         assert (traj.states >= 0).all()
 
+    def test_jump_count_and_holding_times_of_a_poisson_process(self):
+        # births at rate 2 to t = 5000: the jump count is Poisson(10**4) and
+        # the holding times are exponential with mean 1/2 and variance 1/4;
+        # each is held within 5 standard errors
+        traj = gillespie_simulate(parse_network("0 -> S ; 2\n"), (0,), 5000.0, seed=0)
+        n = len(traj.states) - 1
+        assert abs(n - 10**4) <= 5 * 100
+        held = np.diff(traj.times)
+        assert abs(held.mean() - 1 / 2) <= 5 * math.sqrt(1 / 4 / n)
+        # the sample variance of an exponential with rate 2 has variance
+        # (mu_4 - sigma^4) / n = (9 - 1) / 2**4 / n
+        assert abs(held.var(ddof=1) - 1 / 4) <= 5 * math.sqrt(8 / 16 / n)
+
     def test_conserved_totals_are_invariant(self, oscillator_text):
         net, cs = oscillator_conserved(oscillator_text)
         x0 = (0, 0, 0, 0, 0, 1, 0, 1, 0)
@@ -187,6 +200,11 @@ def ssa_cases(seed, count):
          (1, 2), 50.0, 16, None),
         # one reaction listed twice
         ("0 -> S ; 1\nS -> 0 ; 1/3\nS -> 0 ; 1/3\n", (2,), 50.0, 17, None),
+        # uniforms come in blocks of 1,024, two a jump: a run across four
+        # blocks, a last jump on a block's last uniform, and one jump more
+        (bd, (0,), 1e9, 18, 1600),
+        (bd, (0,), 1e9, 19, 512),
+        (bd, (0,), 1e9, 20, 513),
     ]:
         cases.append((parse_network(text), x0, t_end, sim_seed, max_steps))
     return cases
@@ -199,7 +217,7 @@ class TestReferenceSsa:
     CASES = ssa_cases(17, 150)
 
     def test_trajectories_and_averages_are_identical(self):
-        capped = absorbed = conserved = huge = guarded = 0
+        capped = absorbed = conserved = huge = guarded = blocks = 0
         for net, x0, t_end, seed, max_steps in self.CASES:
             args = (net, x0, t_end, seed, max_steps)
             try:
@@ -229,7 +247,9 @@ class TestReferenceSsa:
             except ErgocheckError:  # relations exist but overlap
                 conserved += 1
             huge += traj.states.dtype == object and traj.states.max() >= 2**63
-        assert capped and absorbed and conserved and huge and guarded
+            # two uniforms a jump: more jumps than uniforms in a block span three
+            blocks += len(traj.states) - 1 > oracle_mod.UNIFORM_BLOCK
+        assert capped and absorbed and conserved and huge and guarded and blocks
 
     def test_repeated_times_and_times_on_window_edges(self):
         # a zero holding interval (t + dt == t in floats) and jumps that land
