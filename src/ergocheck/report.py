@@ -243,11 +243,13 @@ def _run_oracle(mode, net, cs, seed, max_states):
         cap = CME_STATES if d_u <= 2 else CME_STATES_HIGH_DIM
         budget = min(max_states, cap) // n_c
         # the largest cube within the budget, at most 61 states a side; a
-        # box with no unconserved species has no side
+        # box with no unconserved species has no side, and one of 2 states a
+        # side holds at most one of each species, too few for its means to
+        # say anything (the cascade with d = 8 puts mass 0.53 on its boundary)
         side = 1
         while d_u and side < 61 and (side + 1) ** d_u <= budget:
             side += 1
-        if side < 2:
+        if side < 3:
             return {"mode": "cme", "skipped": "state budget too small"}
         bounds = [side - 1] * d_u
         est = truncated_cme_stationary(net, bounds, cs, max_states=max_states)

@@ -120,17 +120,19 @@ class TestExitCodes:
             }
 
     def test_cme_box_beyond_the_budget_is_skipped_quickly(self, runner, tmp_path):
-        # 2**13 states exceed the 4,096-state budget: no box is built
-        p = tmp_path / "c13.crn"
-        p.write_text(cascade_text(13))
-        start = time.perf_counter()
-        result = run(runner, "analyze", str(p), "--oracle", "cme", "--format", "json")
-        assert time.perf_counter() - start < 1.0
-        assert result.exit_code == 0
-        assert json.loads(result.stdout)["oracle"] == {
-            "mode": "cme",
-            "skipped": "state budget too small",
-        }
+        # 3**8 states exceed the 4,096-state budget, and a box of 2 states a
+        # side is too small to tell anything: no box is built
+        for d in (8, 12, 13):
+            p = tmp_path / f"c{d}.crn"
+            p.write_text(cascade_text(d))
+            start = time.perf_counter()
+            result = run(runner, "analyze", str(p), "--oracle", "cme", "--format", "json")
+            assert time.perf_counter() - start < 1.0
+            assert result.exit_code == 0
+            assert json.loads(result.stdout)["oracle"] == {
+                "mode": "cme",
+                "skipped": "state budget too small",
+            }
 
     def test_missing_file(self, runner, tmp_path):
         result = run(runner, "analyze", str(tmp_path / "nope.crn"))
