@@ -247,7 +247,7 @@ class TestReferenceSsa:
             except ErgocheckError:  # relations exist but overlap
                 conserved += 1
             huge += traj.states.dtype == object and traj.states.max() >= 2**63
-            # two uniforms a jump: more jumps than uniforms in a block span three
+            # two uniforms a jump: more jumps than a block has uniforms need a third
             blocks += len(traj.states) - 1 > oracle_mod.UNIFORM_BLOCK
         assert capped and absorbed and conserved and huge and guarded and blocks
 
