@@ -228,8 +228,10 @@ class TestStateIndex:
     def test_meets_matches_a_row_scan(self):
         rng = random.Random(5)
         for _ in range(50):
-            states = np.array(
-                [[rng.randint(0, 4) for _ in range(3)] for _ in range(rng.randint(1, 30))]
+            # the index needs rows in lexicographic order, each once
+            states = np.unique(
+                [[rng.randint(0, 4) for _ in range(3)] for _ in range(rng.randint(1, 30))],
+                axis=0,
             )
             demand = [rng.randint(0, 5) for _ in range(3)]
             mask = StateIndex(states).meets(demand)

@@ -122,6 +122,12 @@ class TestParsing:
         again = parse_network(network_to_text(net))
         assert again == net
 
+    def test_round_trip_with_coefficients(self):
+        net = parse_network("2*A -> 3*B + C ; 1/2\n0 -> 2*C ; 1\n")
+        text = network_to_text(net)
+        assert text == "species: A B C\n2*A -> 3*B + C ; 1/2\n0 -> 2*C ; 1\n"
+        assert parse_network(text) == net
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
     def test_round_trip_random(self, seed):

@@ -48,6 +48,17 @@ class TestVerdictMapping:
             analyze(oscillator_text)
         assert "S6" in str(exc.value)
 
+    def test_weighted_relation_is_printed_with_coefficients(self):
+        text = "2*A -> 3*B ; 1\n0 -> X ; 1\nX -> 0 ; 1\n"
+        message = (
+            "conservation relations detected, supply --conserved-totals for: 3*A+2*B"
+        )
+        with pytest.raises(MissingTotals) as exc:
+            analyze(text)
+        assert str(exc.value) == message
+        human = render_report(analyze(text, totals=(6,)), include_timings=False)
+        assert "\nconserved: 3*A+2*B = 6\n" in human
+
     def test_totals_without_relations_are_rejected(self, bd_text):
         with pytest.raises(MissingTotals, match="expected 0 conserved totals, got 1$"):
             analyze(bd_text, totals=(5,))
