@@ -234,7 +234,7 @@ def check_irreducibility(net, cs=None):
     """
     m = stoichiometry_matrix(net)
     s = net.structure()
-    conserved = cs is not None and cs.d_c > 0
+    conserved = cs is not None
     d_u = cs.d_u if conserved else net.num_species
     m_bar = RationalMatrix(d_u, m.ncols, m.rows[:d_u])
     common = {}

@@ -95,10 +95,6 @@ class NetworkStructure:
     pairs: tuple
 
     @property
-    def num_reactions(self):
-        return len(self.pairs)
-
-    @property
     def num_species(self):
         return len(self.pairs[0][0]) if self.pairs else 0
 
@@ -107,10 +103,10 @@ class NetworkStructure:
 class ConservedStructure:
     """Disjoint-support conservation relations after species reordering.
 
-    `gammas` are nonnegative coprime integer vectors (length d, reordered
-    coordinates) whose supports are the trailing `d_c` species, one
-    contiguous block per relation (`relation_slices`, offsets within the
-    conserved block).  `permutation[new_index] = old_index`.
+    `gammas` (at least one) are nonnegative coprime integer vectors (length
+    d, reordered coordinates) whose supports are the trailing `d_c`
+    species, one contiguous block per relation (`relation_slices`, offsets
+    within the conserved block).  `permutation[new_index] = old_index`.
 
     `conserved_states` is E_c for the `totals`: n_c x d_c, rows in
     lexicographic order, int64 unless int64 could wrap (a total of 2^63 or
@@ -142,10 +138,12 @@ class ConservedStructure:
 class StateIndex:
     """Rows of a 2-D integer state array, found by mixed-radix key.
 
-    The keys are injective on the box [0, top_c] spanned by the column
-    maxima, which holds every state.  The arrays are int64 when every key
-    fits and Python ints (dtype object) otherwise, so no coordinate or key
-    ever wraps.
+    The rows must be distinct and in lexicographic order, as both state
+    builders emit them (else InternalCheckFailed); on the box [0, top_c]
+    spanned by the column maxima, which holds every state, their keys then
+    strictly increase and are searched as they stand.  The arrays are int64
+    when every key fits and Python ints (dtype object) otherwise, so no
+    coordinate or key ever wraps.
     """
 
     def __init__(self, states):
@@ -158,7 +156,8 @@ class StateIndex:
         self.top = top
         self.place = place
         self.keys = self.states @ np.array(place, dtype=dtype)
-        self.order = np.argsort(self.keys, kind="stable")
+        if not (self.keys[1:] > self.keys[:-1]).all():
+            raise InternalCheckFailed("state rows are not distinct and in order")
 
     def meets(self, demand):
         """Mask of the states at or above `demand` in every coordinate,
@@ -181,8 +180,7 @@ class StateIndex:
         if not len(i) or any(abs(dc) > t for dc, t in zip(delta, self.top)):
             return i, i, np.zeros(len(i), dtype=bool)  # no target in the box
         target = self.keys[i] + sum(dc * p for dc, p in zip(delta, self.place))
-        pos = np.searchsorted(self.keys, target, sorter=self.order)
-        j = self.order[np.minimum(pos, len(self.keys) - 1)]
+        j = np.minimum(np.searchsorted(self.keys, target), len(self.keys) - 1)
         found = self.keys[j] == target
         for c, dc in enumerate(delta):
             if dc > 0:
@@ -298,16 +296,16 @@ def parse_network(text):
     return ReactionNetwork(species=tuple(species), reactions=reactions)
 
 
+def format_terms(vec, names):
+    """The terms `2*A`, `B`, ... of a count vector, one per nonzero count."""
+    return [f"{c}*{name}" if c > 1 else name for c, name in zip(vec, names) if c]
+
+
 def network_to_text(net):
     """Serialize a network in the input grammar (round-trip safe)."""
 
     def side(vec):
-        terms = [
-            (f"{c}*{net.species[i]}" if c > 1 else net.species[i])
-            for i, c in enumerate(vec)
-            if c
-        ]
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(format_terms(vec, net.species)) or "0"
 
     lines = ["species: " + " ".join(net.species)]
     for r in net.reactions:
@@ -350,13 +348,9 @@ def propensity(net, k, x):
 
 
 def _normalize_gamma(vec):
-    denom_lcm = 1
-    for v in vec:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    scale = math.lcm(*(v.denominator for v in vec))
+    ints = [int(v * scale) for v in vec]
+    g = gcd(*ints)
     return tuple(v // g for v in ints)
 
 

@@ -276,7 +276,7 @@ def _build_chain(net, bounds, cs, max_states):
     species crossed with the enumerated conserved set, and all their
     transitions.  The box size is checked against `max_states` before any
     state is built."""
-    conserved = cs is not None and cs.d_c > 0
+    conserved = cs is not None
     shape = [b + 1 for b in bounds[: cs.d_u if conserved else net.num_species]]
     size = math.prod(shape) * (cs.n_c if conserved else 1)
     if size > max_states:

@@ -32,6 +32,7 @@ from .network import (
     DEFAULT_MAX_STATES,
     enumerate_conserved_states,
     find_conservation_relations,
+    format_terms,
     parse_network,
     reorder_conserved_last,
     stoichiometry_matrix,
@@ -121,14 +122,7 @@ def analyze(
     if gammas:
         net, cs = reorder_conserved_last(net, gammas)
         if totals is None:
-            names = [
-                "+".join(
-                    f"{g[i]}*{net.species[i]}" if g[i] > 1 else net.species[i]
-                    for i in range(len(g))
-                    if g[i]
-                )
-                for g in cs.gammas
-            ]
+            names = ["+".join(format_terms(g, net.species)) for g in cs.gammas]
             raise MissingTotals(
                 "conservation relations detected, supply --conserved-totals "
                 f"for: {', '.join(names)}"
@@ -188,7 +182,7 @@ def verify(text, witness, totals=None, **kw):
 def _initial_states(net, cs, variant):
     d_u = cs.d_u if cs is not None else net.num_species
     x0 = [0 if variant == 0 else 3] * d_u
-    if cs is not None and cs.d_c > 0:  # as Python ints, which JSON needs
+    if cs is not None:  # as Python ints, which JSON needs
         x0 += cs.conserved_states[0 if variant == 0 else -1].tolist()
     return tuple(x0)
 
@@ -299,7 +293,7 @@ def report_to_dict(report, include_timings=True):
     if cs is not None:
         data["conservation"] = {
             "gammas": [list(g) for g in cs.gammas],
-            "totals": list(cs.totals) if cs.totals else None,
+            "totals": list(cs.totals),
             "permutation": list(cs.permutation),
             "n_c": cs.n_c,
         }
@@ -384,12 +378,8 @@ def _render_human(data):
         lines.append(f"unsupported: {data['unsupported_reason']}")
     cons = data.get("conservation")
     if cons:
-        for g, total in zip(cons["gammas"], cons["totals"] or []):
-            terms = "+".join(
-                (f"{c}*{s}" if c > 1 else s)
-                for c, s in zip(g, net["species"])
-                if c
-            )
+        for g, total in zip(cons["gammas"], cons["totals"]):
+            terms = "+".join(format_terms(g, net["species"]))
             lines.append(f"conserved: {terms} = {total}")
     irr = data.get("irreducibility")
     if irr:
