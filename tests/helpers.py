@@ -29,7 +29,7 @@ from ergocheck import (
     solve_lfp,
 )
 from ergocheck.linalg import left_null_space, rref
-from ergocheck.network import _normalize_gamma
+from ergocheck.network import StateIndex, _normalize_gamma
 from ergocheck.oracle import RATE_GUARD
 
 
@@ -349,6 +349,23 @@ def box_states(net, bounds, cs=None):
     ranges = [range(b + 1) for b in bounds[: cs.d_u if conserved else net.num_species]]
     tails = cs.conserved_states.tolist() if conserved else ((),)
     return [tuple(u) + tuple(e) for u in itertools.product(*ranges) for e in tails]
+
+
+def assert_in_key_order(states):
+    """The rows are distinct and in lexicographic order, so their
+    mixed-radix keys (radices from the column maxima, by Horner's rule in
+    Python ints) strictly increase; StateIndex takes the same keys."""
+    rows = [tuple(row) for row in states.tolist()]
+    assert rows == sorted(set(rows))
+    top = [max(column) for column in zip(*rows)]
+    keys = []
+    for row in rows:
+        key = 0
+        for x, t in zip(row, top):
+            key = key * (t + 1) + x
+        keys.append(key)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert StateIndex(states).keys.tolist() == keys
 
 
 def box_transitions(net, states):

@@ -24,6 +24,7 @@ from ergocheck.irreducibility import (
     NECESSARY_CONDITION_FAILED,
     reachability_closure,
 )
+from ergocheck.errors import InternalCheckFailed
 from ergocheck.network import StateIndex
 from helpers import bfs_reachability
 
@@ -238,6 +239,22 @@ class TestStateIndex:
             assert mask.tolist() == [
                 all(x >= h for x, h in zip(row, demand)) for row in states.tolist()
             ]
+
+    @pytest.mark.parametrize(
+        "rows,dtype",
+        [
+            ([[0, 1], [0, 0]], np.int64),
+            ([[1, 0], [0, 3]], np.int64),
+            ([[0, 2], [0, 2]], np.int64),
+            ([[0, 0], [1, 2], [1, 1]], np.int64),
+            ([[2**63, 1], [0, 5]], object),
+            ([[1, 2**64], [1, 2**64]], object),
+        ],
+    )
+    def test_rows_out_of_order_or_repeated_raise(self, rows, dtype):
+        # raised, not asserted, so the check holds under python -O too
+        with pytest.raises(InternalCheckFailed, match="not distinct and in order"):
+            StateIndex(np.array(rows, dtype=dtype))
 
     @pytest.mark.parametrize("oracle,built", [("off", 1), ("cme", 2)])
     def test_analyze_indexes_the_conserved_states_once(

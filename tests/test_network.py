@@ -28,6 +28,7 @@ from ergocheck import network as network_mod
 from ergocheck.errors import InputError
 from ergocheck.network import ConservedStructure
 from helpers import (
+    assert_in_key_order,
     conservation_relations_reference,
     conserved_states_reference,
     random_network_text,
@@ -391,7 +392,8 @@ def random_total(rng, weights):
 
 class TestArrayEnumeration:
     """The array enumeration against the tuple recursion it replaced:
-    same rows in the same order."""
+    same rows in the same order, the order whose keys StateIndex searches
+    as they stand."""
 
     def test_matches_tuple_enumeration(self):
         rng = random.Random(6)
@@ -414,6 +416,7 @@ class TestArrayEnumeration:
             expected = conserved_states_reference(cs, totals)
             states = enumerate_conserved_states(cs, totals).conserved_states
             assert [tuple(row) for row in states.tolist()] == list(expected)
+            assert_in_key_order(states)
             assert states.shape == (len(expected), cs.d_c)
             big = max(totals) >= 2**63
             assert states.dtype == (object if big else np.int64)

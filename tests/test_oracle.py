@@ -29,6 +29,7 @@ from ergocheck.network import DEFAULT_MAX_STATES
 from ergocheck.report import CME_STATES_HIGH_DIM
 from helpers import (
     ReferenceTrajectory,
+    assert_in_key_order,
     batch_means_reference,
     box_states,
     cascade_text,
@@ -468,6 +469,7 @@ class TestChainBuilder:
             states = box_states(net, bounds, cs)
             chain = oracle_mod._build_chain(net, bounds, cs, DEFAULT_MAX_STATES)
             assert [tuple(s) for s in chain.states.tolist()] == states
+            assert_in_key_order(chain.states)  # as StateIndex searches them
             got = [
                 (i, k, j if j >= 0 else None)
                 for i, k, j in zip(
