@@ -16,14 +16,9 @@ list the changed cases with the change:
 from __future__ import annotations
 
 import hashlib
-import pathlib
 import random
-import sys
 
-HERE = pathlib.Path(__file__).parent
-sys.path.insert(0, str(HERE))
-
-from ergocheck import (  # noqa: E402
+from ergocheck import (
     OverlappingConservation,
     analyze,
     find_conservation_relations,
@@ -31,20 +26,20 @@ from ergocheck import (  # noqa: E402
     render_report,
     stoichiometry_matrix,
 )
-from ergocheck.cli import (  # noqa: E402
+from ergocheck.cli import (
     EXIT_CODES,
     INPUT_ERROR_EXIT,
     INTERNAL_ERROR_EXIT,
     _load_witness,
 )
-from ergocheck.errors import (  # noqa: E402
+from ergocheck.errors import (
     InputError,
     InternalCheckFailed,
     WitnessRejected,
 )
-from helpers import cascade_text, random_network_text, rings_text  # noqa: E402
+from conftest import DATA
+from helpers import cascade_text, random_network_text, rings_text
 
-DATA = HERE / "data"
 MANIFEST = DATA / "golden" / "corpus.tsv"
 RANDOM_SEED = 17  # the random networks
 TOTALS_SEED = 18  # their totals, drawn apart so a relation count moves no network
