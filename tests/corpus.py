@@ -1,22 +1,29 @@
 """Differential corpus: a fixed, seeded list of analyses pinned by hash.
 
-Each case is one `analyze` or `verify` run with the oracles off (their
-floats can differ across numpy and scipy builds).  Its record is the exit
-code the CLI gives plus the sha256 of its `--no-timings` JSON and human
+Each case is one `analyze` or `verify` run.  Its record is the exit code
+the CLI gives plus the sha256 of its `--no-timings` JSON and human
 reports, or, when the run raises, the sha256 of the error's class and
-message.  The manifest tests/data/golden/corpus.tsv holds every record;
-test_corpus.py recomputes them and names each case that changed.
+message.  The manifest tests/data/golden/corpus.tsv holds the records of
+the runs with the oracles off; tests/data/golden/corpus_oracle.tsv holds
+those of the oracle runs, whose floats can differ across Python, numpy
+and scipy builds, so its header names the builds it was made with.
+test_corpus.py recomputes the records and names each case that changed.
 
-Regenerate the manifest only for a deliberate change of the reports, and
+Regenerate a manifest only for a deliberate change of the reports, and
 list the changed cases with the change:
 
-    PYTHONPATH=src python tests/corpus.py
+    PYTHONPATH=src python tests/corpus.py          # corpus.tsv
+    PYTHONPATH=src python tests/corpus.py oracle   # corpus_oracle.tsv
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
+
+import numpy as np
+import scipy
 
 from ergocheck import (
     OverlappingConservation,
@@ -37,13 +44,17 @@ from ergocheck.errors import (
     InternalCheckFailed,
     WitnessRejected,
 )
+from ergocheck.network import DEFAULT_MAX_STATES
 from conftest import DATA
 from helpers import cascade_text, random_network_text, rings_text
 
 MANIFEST = DATA / "golden" / "corpus.tsv"
+ORACLE_MANIFEST = DATA / "golden" / "corpus_oracle.tsv"
 RANDOM_SEED = 17  # the random networks
 TOTALS_SEED = 18  # their totals, drawn apart so a relation count moves no network
 NUM_RANDOM = 1200
+NUM_RANDOM_ORACLE = 200  # the first ones of the same stream
+SSA_MAX_STATES = 20000  # short SSA runs on the random networks; pins the budget error
 
 # totals for the tests/data networks: none, a mismatched count and fitting ones
 DATA_TOTALS = {
@@ -67,6 +78,17 @@ def _relation_count(text):
         return 0  # reported as UNSUPPORTED, whatever the totals
 
 
+def _random_cases(count):
+    """(name, text, totals) for the first `count` seeded random networks."""
+    rng, totals_rng = random.Random(RANDOM_SEED), random.Random(TOTALS_SEED)
+    for i in range(count):
+        text = random_network_text(rng)
+        draws = tuple(totals_rng.randint(0, 4) for _ in range(4))
+        relations = _relation_count(text)
+        totals = draws[:relations] if relations else None
+        yield f"random({RANDOM_SEED})#{i:04d}{_label(totals)}", text, totals
+
+
 def cases():
     """(name, text, totals, witness) for every case, in a fixed order."""
     out = []
@@ -85,26 +107,58 @@ def cases():
         for totals in (None, (1, 1), (3, 2)):
             name = f"rings_text({n}){_label(totals)}"
             out.append((name, rings_text(n), totals, None))
-    rng, totals_rng = random.Random(RANDOM_SEED), random.Random(TOTALS_SEED)
-    for i in range(NUM_RANDOM):
-        text = random_network_text(rng)
-        draws = tuple(totals_rng.randint(0, 4) for _ in range(4))
-        count = _relation_count(text)
-        totals = draws[:count] if count else None
-        name = f"random({RANDOM_SEED})#{i:04d}{_label(totals)}"
+    for name, text, totals in _random_cases(NUM_RANDOM):
         out.append((name, text, totals, None))
     return out
+
+
+def oracle_cases():
+    """(name, text, totals, witness, oracle, max_states) for every oracle
+    case, in a fixed order."""
+    both = []
+    for stem, choices in DATA_TOTALS.items():
+        text = (DATA / f"{stem}.crn").read_text()
+        for totals in choices:
+            if len(totals or ()) == _relation_count(text):
+                both.append((f"data/{stem}{_label(totals)}", text, totals))
+    for d in range(1, 9):
+        both.append((f"cascade_text({d})", cascade_text(d), None))
+    for n in range(2, 5):
+        both.append((f"rings_text({n}) totals=1,1", rings_text(n), (1, 1)))
+    runs = [(case, mode, DEFAULT_MAX_STATES) for case in both for mode in ("ssa", "cme")]
+    # about 2 * 10**6 jumps to t = 500: the run overruns the jump budget
+    budget = "0 -> S ; 2000\nS -> 0 ; 1\n"
+    for case in (("budget", budget, None), ("cascade_text(40)", cascade_text(40), None)):
+        runs.append((case, "ssa", DEFAULT_MAX_STATES))
+    for case in _random_cases(NUM_RANDOM_ORACLE):
+        runs += [(case, "cme", DEFAULT_MAX_STATES), (case, "ssa", SSA_MAX_STATES)]
+    out = []
+    for (name, text, totals), mode, max_states in runs:
+        name += f" oracle={mode}"
+        if max_states != DEFAULT_MAX_STATES:
+            name += f" max_states={max_states}"
+        out.append((name, text, totals, None, mode, max_states))
+    return out
+
+
+def builds():
+    """The builds the oracle floats depend on, as the oracle manifest's
+    header names them."""
+    python = ".".join(map(str, sys.version_info[:2]))
+    return f"python {python} numpy {np.__version__} scipy {scipy.__version__}"
 
 
 def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def record(text, totals, witness):
+def record(text, totals, witness, oracle="off", max_states=DEFAULT_MAX_STATES):
     """(exit code, JSON sha256, human sha256), or (exit code, error sha256,
     "-") when the run raises, with the exit codes of the CLI."""
     try:
-        report = analyze(text, totals=totals, witness=witness)
+        report = analyze(
+            text, totals=totals, witness=witness, oracle=oracle, max_states=max_states
+        )
     except (WitnessRejected, InputError, InternalCheckFailed) as exc:
         if isinstance(exc, WitnessRejected):
             code = EXIT_CODES["INCONCLUSIVE"]
@@ -120,9 +174,10 @@ def record(text, totals, witness):
     )
 
 
-def records():
-    """{name: record} over every case; raises when two cases share a name."""
-    listed = cases()
+def records(listed=None):
+    """{name: record} over every case of `listed` (default: `cases()`);
+    raises when two cases share a name."""
+    listed = cases() if listed is None else listed
     out = {name: record(*rest) for name, *rest in listed}
     if len(out) != len(listed):
         raise ValueError("corpus case names repeat")
@@ -139,10 +194,16 @@ def read_manifest(path=MANIFEST):
     return out
 
 
-def write_manifest(recs, path=MANIFEST):
+def read_builds(path=ORACLE_MANIFEST):
+    """The builds named by a manifest's first line, `# built with ...`."""
+    return path.read_text().splitlines()[0].removeprefix("# built with ")
+
+
+def write_manifest(recs, path=MANIFEST, header=()):
     lines = [
+        *header,
         "# case\texit code\tsha256 of the JSON report or of the error"
-        "\tsha256 of the human report"
+        "\tsha256 of the human report",
     ]
     for name, (code, *rest) in recs.items():
         lines.append("\t".join([name, str(code), *rest]))
@@ -150,6 +211,10 @@ def write_manifest(recs, path=MANIFEST):
 
 
 if __name__ == "__main__":
-    recs = records()
-    write_manifest(recs)
-    print(f"wrote {len(recs)} cases to {MANIFEST}")
+    if sys.argv[1:] == ["oracle"]:
+        path, recs = ORACLE_MANIFEST, records(oracle_cases())
+        write_manifest(recs, path, header=[f"# built with {builds()}"])
+    else:
+        path, recs = MANIFEST, records()
+        write_manifest(recs, path)
+    print(f"wrote {len(recs)} cases to {path}")
