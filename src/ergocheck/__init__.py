@@ -52,12 +52,11 @@ from .linalg import (
 )
 from .network import (
     ConservedStructure,
-    NetworkStructure,
     Reaction,
     ReactionNetwork,
     enumerate_conserved_states,
     find_conservation_relations,
-    inverse_structure,
+    inverse_network,
     network_to_text,
     parse_network,
     propensity,

@@ -5,7 +5,7 @@ the full nonnegative integer lattice, with it the product of a lattice
 over the unconserved species with the finite enumerated conserved set.
 It combines exact rank/lattice/feasibility conditions with the
 producibility level construction run forwards and on the arrow-flipped
-structure.
+network.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .lfp import LfpOutcome, LfpProblem, solve_lfp
 from .linalg import RationalMatrix, hermite_normal_form, lattice_spans_full
-from .network import inverse_structure, stoichiometry_matrix
+from .network import inverse_network, stoichiometry_matrix
 
 IRREDUCIBLE_PROVEN = "IRREDUCIBLE_PROVEN"
 NECESSARY_CONDITION_FAILED = "NECESSARY_CONDITION_FAILED"
@@ -72,20 +72,15 @@ class IrreducibilityVerdict:
     diagnostic: str = ""
 
 
-def _split(vec, d_u):
-    return vec[:d_u], vec[d_u:]
-
-
-def fireable_reactions(s, available, cs=None, e=None):
+def fireable_reactions(net, available, cs=None, e=None):
     """Reactions whose unconserved reactants all lie in `available` and
     whose conserved reactant demand is met by state `e` (when given)."""
-    d_u = cs.d_u if cs is not None else s.num_species
+    d_u = cs.d_u if cs is not None else net.num_species
     out = set()
-    for k, (nu, _) in enumerate(s.pairs):
-        bar, hat = _split(nu, d_u)
-        if any(c and i not in available for i, c in enumerate(bar)):
+    for k, r in enumerate(net.reactions):
+        if any(c and i not in available for i, c in enumerate(r.reactants[:d_u])):
             continue
-        if e is not None and any(ei < hi for ei, hi in zip(e, hat)):
+        if e is not None and any(ei < hi for ei, hi in zip(e, r.reactants[d_u:])):
             continue
         out.add(k)
     return out
@@ -121,7 +116,7 @@ def closed_classes(n, src, dst):
     return labels, closed
 
 
-def conserved_class_analysis(s, cs, available):
+def conserved_class_analysis(net, cs, available):
     """Equivalence classes and closed classes of the conserved chain for
     the available-species set A, in O(n_c + edges) memory.
 
@@ -131,12 +126,11 @@ def conserved_class_analysis(s, cs, available):
     """
     fires = {}
     src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for k, (nu, nu_p) in enumerate(s.pairs):
-        bar, hat = _split(nu, cs.d_u)
-        if any(c and i not in available for i, c in enumerate(bar)):
+    for k, r in enumerate(net.reactions):
+        if any(c and i not in available for i, c in enumerate(r.reactants[: cs.d_u])):
             continue
-        fires[k] = mask = cs.index.meets(hat)
-        delta = [hp - h for h, hp in zip(hat, nu_p[cs.d_u :])]
+        fires[k] = mask = cs.index.meets(r.reactants[cs.d_u :])
+        delta = r.displacement[cs.d_u :]
         if not any(delta):
             continue  # a self-loop everywhere
         i, j, found = cs.index.targets(mask, delta)
@@ -183,22 +177,22 @@ def _levels(num_species, producible):
     )
 
 
-def level_decomposition(s):
+def level_decomposition(net):
     """Levels for the no-conservation case."""
     supports = [
         (
-            frozenset(i for i, c in enumerate(nu) if c),
-            frozenset(i for i, c in enumerate(nu_p) if c),
+            frozenset(i for i, c in enumerate(r.reactants) if c),
+            frozenset(i for i, c in enumerate(r.products) if c),
         )
-        for nu, nu_p in s.pairs
+        for r in net.reactions
     ]
     return _levels(
-        s.num_species,
+        net.num_species,
         lambda h: {i for nu_s, nup_s in supports if nu_s <= h for i in nup_s},
     )
 
 
-def level_decomposition_conserved(s, cs):
+def level_decomposition_conserved(net, cs):
     """Levels over the unconserved species, gated per closed class.
 
     A species enters level l only if every closed equivalence class of the
@@ -207,8 +201,8 @@ def level_decomposition_conserved(s, cs):
 
     def producible(h):
         made = [
-            {i for k in ks for i in range(cs.d_u) if s.pairs[k][1][i]}
-            for ks in conserved_class_analysis(s, cs, h).closed_fireable
+            {i for k in ks for i in range(cs.d_u) if net.reactions[k].products[i]}
+            for ks in conserved_class_analysis(net, cs, h).closed_fireable
         ]
         return set.intersection(*made) if made else set()
 
@@ -233,7 +227,6 @@ def check_irreducibility(net, cs=None):
     the rows of the d_u unconserved species (all d without conservation).
     """
     m = stoichiometry_matrix(net)
-    s = net.structure()
     conserved = cs is not None
     d_u = cs.d_u if conserved else net.num_species
     m_bar = RationalMatrix(d_u, m.ncols, m.rows[:d_u])
@@ -242,10 +235,10 @@ def check_irreducibility(net, cs=None):
     def verdict(status, condition=None, diagnostic=""):
         return IrreducibilityVerdict(status, condition, diagnostic=diagnostic, **common)
 
-    def levels(structure):
+    def levels(network):
         if conserved:
-            return level_decomposition_conserved(structure, cs)
-        return level_decomposition(structure)
+            return level_decomposition_conserved(network, cs)
+        return level_decomposition(network)
 
     hnf = hermite_normal_form(m_bar)
     rank_value = len(hnf.pivots)
@@ -269,7 +262,7 @@ def check_irreducibility(net, cs=None):
                 "eta",
                 "EmptyConservedSpace: no conserved state matches the totals",
             )
-        analysis = conserved_class_analysis(s, cs, frozenset(range(d_u)))
+        analysis = conserved_class_analysis(net, cs, frozenset(range(d_u)))
         common.update(class_analysis=analysis)
         if analysis.num_classes != 1 or analysis.eta != 1:
             return verdict(
@@ -280,7 +273,7 @@ def check_irreducibility(net, cs=None):
                 " covering the conserved states",
             )
 
-    forward = levels(s)
+    forward = levels(net)
     common.update(forward_levels=forward)
     if not forward.exhaustive:
         return verdict(
@@ -298,7 +291,7 @@ def check_irreducibility(net, cs=None):
             "no strictly positive flux vector with zero net effect",
         )
 
-    inverse = levels(inverse_structure(s))
+    inverse = levels(inverse_network(net))
     common.update(inverse_levels=inverse)
     if not inverse.exhaustive:
         return verdict(

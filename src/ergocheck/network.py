@@ -76,27 +76,11 @@ class ReactionNetwork:
     def num_reactions(self):
         return len(self.reactions)
 
-    def structure(self):
-        return NetworkStructure(
-            pairs=tuple((r.reactants, r.products) for r in self.reactions)
-        )
-
     def identity_reactions(self):
         """Indices of reactions that never change the state (flagged, legal)."""
         return tuple(
             k for k, r in enumerate(self.reactions) if r.is_identity
         )
-
-
-@dataclass(frozen=True)
-class NetworkStructure:
-    """Rate-stripped reaction pairs (nu_k, nu'_k)."""
-
-    pairs: tuple
-
-    @property
-    def num_species(self):
-        return len(self.pairs[0][0]) if self.pairs else 0
 
 
 @dataclass(frozen=True)
@@ -549,6 +533,9 @@ def enumerate_conserved_states(cs, totals, max_states=DEFAULT_MAX_STATES):
     return replace(cs, totals=totals, conserved_states=states)
 
 
-def inverse_structure(s):
-    """Flip every reaction arrow: pair k becomes (nu'_k, nu_k)."""
-    return NetworkStructure(pairs=tuple((p, r) for r, p in s.pairs))
+def inverse_network(net):
+    """Flip every reaction arrow, keeping the species and the rates."""
+    return ReactionNetwork(
+        net.species,
+        tuple(Reaction(r.products, r.reactants, r.rate) for r in net.reactions),
+    )

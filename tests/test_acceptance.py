@@ -94,11 +94,11 @@ def test_criterion_1_oscillator_end_to_end(oscillator_text):
     # repressor protein (species 2) is available, else the single closed
     # class is total freedom, (1,0) on each complex pair
     cs = report.conserved
-    s = report.network.structure()
-    with_2 = conserved_class_analysis(s, cs, frozenset({1}))
+    net = report.network
+    with_2 = conserved_class_analysis(net, cs, frozenset({1}))
     assert with_2.num_classes == 1 and with_2.eta == 1
     assert with_2.classes[0] == frozenset(range(cs.n_c))
-    without_2 = conserved_class_analysis(s, cs, frozenset({0, 2, 3, 4}))
+    without_2 = conserved_class_analysis(net, cs, frozenset({0, 2, 3, 4}))
     (closed,) = [
         c for c, flag in zip(without_2.classes, without_2.closed_flags) if flag
     ]

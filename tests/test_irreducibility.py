@@ -11,7 +11,7 @@ from ergocheck import (
     enumerate_conserved_states,
     find_conservation_relations,
     fireable_reactions,
-    inverse_structure,
+    inverse_network,
     level_decomposition,
     level_decomposition_conserved,
     parse_network,
@@ -42,18 +42,17 @@ def conserved_setup(text, totals):
 
 class TestFireable:
     def test_unconserved_only(self, bd_text):
-        s = parse_network(bd_text).structure()
-        assert fireable_reactions(s, frozenset()) == {0}
-        assert fireable_reactions(s, frozenset({0})) == {0, 1}
+        net = parse_network(bd_text)
+        assert fireable_reactions(net, frozenset()) == {0}
+        assert fireable_reactions(net, frozenset({0})) == {0, 1}
 
     def test_conserved_demand(self, oscillator_text):
         net, cs = conserved_setup(oscillator_text, (1, 1))
-        s = net.structure()
         # nothing available, complexes bound: the two release reactions
         # plus transcription off each bound promoter
-        assert fireable_reactions(s, frozenset(), cs, (0, 1, 0, 1)) == {1, 3, 4, 9}
+        assert fireable_reactions(net, frozenset(), cs, (0, 1, 0, 1)) == {1, 3, 4, 9}
         # nothing available, complexes free: the four leak transcriptions
-        assert fireable_reactions(s, frozenset(), cs, (1, 0, 1, 0)) == {5, 10}
+        assert fireable_reactions(net, frozenset(), cs, (1, 0, 1, 0)) == {5, 10}
 
 
 class TestReachabilityClosure:
@@ -89,7 +88,7 @@ class TestReachabilityClosure:
 class TestConservedClasses:
     def test_oscillator_nothing_available(self, oscillator_text):
         net, cs = conserved_setup(oscillator_text, (1, 1))
-        analysis = conserved_class_analysis(net.structure(), cs, frozenset())
+        analysis = conserved_class_analysis(net, cs, frozenset())
         # both complexes decay irreversibly without S2: the single closed
         # class is the fully-unbound state
         closed = [
@@ -104,7 +103,7 @@ class TestConservedClasses:
 
     def test_oscillator_with_repressor_available(self, oscillator_text):
         net, cs = conserved_setup(oscillator_text, (1, 1))
-        analysis = conserved_class_analysis(net.structure(), cs, frozenset({1}))
+        analysis = conserved_class_analysis(net, cs, frozenset({1}))
         # binding and unbinding both fire: everything communicates
         assert analysis.num_classes == 1
         assert analysis.eta == 1
@@ -115,14 +114,12 @@ class TestConservedClasses:
         net, cs = conserved_setup(
             "species: A B C\nA + B -> C ; 1\n0 -> A ; 1\n", (1,)
         )
-        analysis = conserved_class_analysis(
-            net.structure(), cs, frozenset(range(cs.d_u))
-        )
+        analysis = conserved_class_analysis(net, cs, frozenset(range(cs.d_u)))
         assert analysis.num_classes == 2
         assert analysis.eta == 1
 
 
-def reference_classes(s, cs, available):
+def reference_classes(net, cs, available):
     """Classes, closed flags and the reactions fireable in each closed
     class, from a dense Z(A) built state by state with fireable_reactions,
     and BFS."""
@@ -130,12 +127,13 @@ def reference_classes(s, cs, available):
     index = {e: i for i, e in enumerate(states)}
     n = len(states)
     z = [[0] * n for _ in range(n)]
-    fireable = [fireable_reactions(s, available, cs, e) for e in states]
+    fireable = [fireable_reactions(net, available, cs, e) for e in states]
     for i, e in enumerate(states):
         for k in fireable[i]:
-            nu, nu_p = s.pairs[k]
+            r = net.reactions[k]
             target = tuple(
-                ei - h + hp for ei, h, hp in zip(e, nu[cs.d_u:], nu_p[cs.d_u:])
+                ei - h + hp
+                for ei, h, hp in zip(e, r.reactants[cs.d_u:], r.products[cs.d_u:])
             )
             z[i][index[target]] = 1
     reach = bfs_reachability(z)
@@ -198,10 +196,9 @@ class TestSparseClassAnalysis:
             cs = enumerate_conserved_states(cs0, totals)
             if not 256 < cs.n_c <= 700:
                 continue
-            s = net.structure()
             available = frozenset(rng.sample(range(cs.d_u), rng.randint(0, cs.d_u)))
-            analysis = conserved_class_analysis(s, cs, available)
-            classes, closed, fireable = reference_classes(s, cs, available)
+            analysis = conserved_class_analysis(net, cs, available)
+            classes, closed, fireable = reference_classes(net, cs, available)
             assert analysis.classes == classes
             assert analysis.closed_flags == closed
             assert analysis.closed_fireable == fireable
@@ -216,9 +213,8 @@ class TestSparseClassAnalysis:
         assert cs.n_c == 3
         assert cs.conserved_states.dtype == object
         assert cs.index.states.dtype == object
-        s = net.structure()
-        analysis = conserved_class_analysis(s, cs, frozenset())
-        classes, closed, fireable = reference_classes(s, cs, frozenset())
+        analysis = conserved_class_analysis(net, cs, frozenset())
+        classes, closed, fireable = reference_classes(net, cs, frozenset())
         assert analysis.classes == classes
         assert analysis.closed_flags == closed
         assert analysis.closed_fireable == fireable
@@ -281,27 +277,25 @@ class TestStateIndex:
 
 class TestLevels:
     def test_birth_death(self, bd_text):
-        s = parse_network(bd_text).structure()
-        dec = level_decomposition(s)
+        dec = level_decomposition(parse_network(bd_text))
         assert dec.levels == (frozenset({0}),)
         assert dec.exhaustive
 
     def test_open_cascade_autocatalysis_uncovered(self, cascade_open_text):
-        s = parse_network(cascade_open_text).structure()
-        dec = level_decomposition(s)
+        dec = level_decomposition(parse_network(cascade_open_text))
         assert dec.levels == (frozenset({0}),)  # A is producible
         assert not dec.exhaustive
         assert dec.uncovered == frozenset({1})  # B never starts
 
     def test_chain_orders_levels(self):
-        s = parse_network("0 -> A ; 1\nA -> A + B ; 1\nB -> B + C ; 1\n").structure()
-        dec = level_decomposition(s)
+        net = parse_network("0 -> A ; 1\nA -> A + B ; 1\nB -> B + C ; 1\n")
+        dec = level_decomposition(net)
         assert dec.levels == (frozenset({0}), frozenset({1}), frozenset({2}))
         assert frozenset().union(*dec.levels) == frozenset({0, 1, 2})
 
     def test_oscillator_forward(self, oscillator_text):
         net, cs = conserved_setup(oscillator_text, (1, 1))
-        dec = level_decomposition_conserved(net.structure(), cs)
+        dec = level_decomposition_conserved(net, cs)
         assert dec.levels == (
             frozenset({0, 2}),
             frozenset({1, 3}),
@@ -311,9 +305,7 @@ class TestLevels:
 
     def test_oscillator_inverse(self, oscillator_text):
         net, cs = conserved_setup(oscillator_text, (1, 1))
-        dec = level_decomposition_conserved(
-            inverse_structure(net.structure()), cs
-        )
+        dec = level_decomposition_conserved(inverse_network(net), cs)
         assert dec.levels == (frozenset({0, 1, 2, 3}), frozenset({4}))
         assert dec.exhaustive
 
@@ -326,7 +318,7 @@ class TestLevels:
             if l not in ("S6 -> S6 + S1 ; 1", "S8 -> S8 + S3 ; 1")
         ]
         net, cs = conserved_setup("\n".join(lines) + "\n", (1, 1))
-        dec = level_decomposition_conserved(net.structure(), cs)
+        dec = level_decomposition_conserved(net, cs)
         assert dec.levels == ()
         assert not dec.exhaustive
         assert dec.uncovered == frozenset(range(5))

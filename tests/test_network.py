@@ -17,7 +17,7 @@ from ergocheck import (
     StateSpaceTooLarge,
     enumerate_conserved_states,
     find_conservation_relations,
-    inverse_structure,
+    inverse_network,
     network_to_text,
     parse_network,
     propensity,
@@ -429,7 +429,11 @@ class TestArrayEnumeration:
         assert all(count >= 10 for count in seen.values()), seen
 
 
-def test_inverse_structure_is_an_involution(oscillator_text):
-    s = parse_network(oscillator_text).structure()
-    assert inverse_structure(inverse_structure(s)) == s
-    assert inverse_structure(s).pairs[0] == (s.pairs[0][1], s.pairs[0][0])
+def test_inverse_network_is_an_involution(oscillator_text):
+    net = parse_network(oscillator_text)
+    inverse = inverse_network(net)
+    assert inverse_network(inverse) == net
+    assert inverse.species == net.species
+    for r, flipped in zip(net.reactions, inverse.reactions):
+        assert (flipped.reactants, flipped.products) == (r.products, r.reactants)
+        assert flipped.rate == r.rate
