@@ -69,6 +69,7 @@ from .oracle import (
     batch_means,
     empirical_irreducibility_probe,
     gillespie_simulate,
+    run_oracle,
     time_average,
     truncated_cme_stationary,
 )

@@ -13,7 +13,8 @@ CME (Munsky & Khammash 2006) on a box: the truncated chain is built once
 as arrays, its stationary distribution comes from one sparse
 floating-point solve (a box whose chain has other than one closed class
 is reported as singular instead of solved) and its interior is probed
-for strong connectivity.
+for strong connectivity.  `run_oracle` runs either oracle on the
+candidate space of an analysis and returns its report section.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ RATE_GUARD = 1e15
 BOUNDARY_MASS_THRESHOLD = 1e-8
 NUM_BATCHES = 20  # batch-means windows
 UNIFORM_BLOCK = 1024  # uniforms a draw; even, so a jump's pair is in one block
+SSA_T_END = 500.0
+# CME box budgets in states.  The sparse LU's fill grows with the number of
+# unconserved dimensions: with three, 46,656 states took 28 s and 1.1 GB;
+# on the oscillator (five, four conserved states) 31,104 took minutes and
+# 2.6 GB, 4,096 about a second.
+CME_STATES = 50000
+CME_STATES_HIGH_DIM = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +143,7 @@ def _uniform_pairs(rng):
         yield from zip(block, block)
 
 
-def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
+def gillespie_simulate(net, x0, t_end, seed, max_states=DEFAULT_MAX_STATES):
     """Direct-method SSA; deterministic for a fixed seed.
 
     Each jump takes two uniforms u1, u2 on [0, 1), as in Gillespie's
@@ -154,6 +162,10 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
     order as a full sweep, the total and the chosen reaction come from one
     running sum in reaction order, and the uniforms are used in the order
     they are drawn, so a seed fixes the trajectory bit for bit.
+
+    A trajectory holds (jumps + 1) x d counts, so it may make
+    max_states // d jumps; a jump beyond them before t_end raises
+    StateSpaceTooLarge.
     """
     rng = np.random.default_rng(seed)
     rows = [r.displacement for r in net.reactions]
@@ -176,7 +188,7 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
 
     props = [f() for f in rate_of]
     last = net.num_reactions - 1
-    limit = math.inf if max_steps is None else max_steps
+    budget = max_states // max(net.num_species, 1)
     t = 0.0
     jumps = 0
     times = array.array("d", [0.0])  # 8 bytes a jump, not a float object
@@ -198,6 +210,11 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
         t += -log1p(-u1) / total  # ln(1 / r1) / total with r1 = 1 - u1 in (0, 1]
         if t >= t_end:
             break
+        if jumps >= budget:
+            raise StateSpaceTooLarge(
+                f"SSA trajectory exceeded the bound of {budget} jumps "
+                f"before t = {t_end:g}"
+            )
         k = bisect_right(cumulative, u2 * total)
         if k > last:
             k = last
@@ -208,8 +225,6 @@ def gillespie_simulate(net, x0, t_end, seed, max_steps=None):
         add_time(t)
         add_fired(k)
         jumps += 1
-        if jumps >= limit:
-            break
     # the visited states: the initial one plus the running sum of the fired
     # displacements, in int64 when no state and no displacement can leave
     # its range and over Python ints (dtype object) otherwise
@@ -379,3 +394,81 @@ def empirical_irreducibility_probe(net, bounds, cs=None, max_states=DEFAULT_MAX_
     stays inside the box; returns (strongly_connected, interior_size).
     """
     return _interior_probe(_build_chain(net, bounds, cs, max_states))
+
+
+def _initial_states(net, cs, variant):
+    d_u = cs.d_u if cs is not None else net.num_species
+    x0 = [0 if variant == 0 else 3] * d_u
+    if cs is not None:  # as Python ints, which JSON needs
+        x0 += cs.conserved_states[0 if variant == 0 else -1].tolist()
+    return tuple(x0)
+
+
+def _ssa_run(net, cs, x0, seed, max_states):
+    """One SSA trajectory from x0, summarised as (run, conservation_kept);
+    the trajectory itself is dropped on return."""
+    traj = gillespie_simulate(net, x0, SSA_T_END, seed, max_states)
+    kept = True
+    if cs is not None:
+        states = traj.states.astype(object)  # exact integers
+        for gamma in cs.gammas:
+            amounts = states @ np.array(gamma, dtype=object)
+            kept = kept and not (amounts != amounts[0]).any()
+    _, se = batch_means(traj, 0)
+    run = {
+        "initial_state": list(x0),
+        "seed": traj.seed,
+        "jumps": len(traj.states) - 1,
+        "time_averages": time_average(traj),
+        "first_species_se": se,
+    }
+    return run, kept
+
+
+def run_oracle(mode, net, cs, seed, max_states):
+    """The report's `oracle` section: two SSA runs or one CME solve on the
+    candidate space of an analysis, or why they were skipped.  A bound or
+    a rate the oracle cannot meet is recorded as its error."""
+    if cs is not None and cs.n_c == 0:
+        return {"mode": mode, "skipped": "no conserved state matches the totals"}
+    if mode not in ("ssa", "cme"):
+        raise ValueError(f"unknown oracle mode {mode!r}")
+    try:
+        if mode == "ssa":
+            if not net.num_species:
+                return {"mode": "ssa", "skipped": "no species"}
+            runs = []
+            constant = True
+            for variant in (0, 1):
+                x0 = _initial_states(net, cs, variant)
+                run, kept = _ssa_run(net, cs, x0, seed + variant, max_states)
+                runs.append(run)
+                constant = constant and kept
+            return {"mode": "ssa", "runs": runs, "conservation_constant": constant}
+        d_u = cs.d_u if cs is not None else net.num_species
+        n_c = cs.n_c if cs is not None else 1
+        cap = CME_STATES if d_u <= 2 else CME_STATES_HIGH_DIM
+        budget = min(max_states, cap) // n_c
+        # the largest cube within the budget, at most 61 states a side; a
+        # box with no unconserved species has no side, and one of 2 states a
+        # side holds at most one of each species, too few for its means to
+        # say anything (the cascade with d = 8 puts mass 0.53 on its boundary)
+        side = 1
+        while d_u and side < 61 and (side + 1) ** d_u <= budget:
+            side += 1
+        if side < 3:
+            return {"mode": "cme", "skipped": "state budget too small"}
+        bounds = [side - 1] * d_u
+        est = truncated_cme_stationary(net, bounds, cs, max_states=max_states)
+        means = [est.mean(i) for i in range(net.num_species)]
+        return {
+            "mode": "cme",
+            "box": bounds,
+            "interior_strongly_connected": est.interior_strongly_connected,
+            "interior_size": est.interior_size,
+            "stationary_means": means,
+            "boundary_mass": est.boundary_mass,
+            "truncation_flagged": est.truncation_flagged,
+        }
+    except (StateSpaceTooLarge, PropensityOverflow) as exc:
+        return {"mode": mode, "error": str(exc)}

@@ -16,18 +16,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from . import drift as drift_mod
 from . import irreducibility as irr_mod
-from .errors import (
-    MissingTotals,
-    OverlappingConservation,
-    PropensityOverflow,
-    StateSpaceTooLarge,
-    UnsupportedReactionOrder,
-)
+from .errors import MissingTotals, OverlappingConservation, UnsupportedReactionOrder
 from .network import (
     DEFAULT_MAX_STATES,
     enumerate_conserved_states,
@@ -37,12 +29,7 @@ from .network import (
     reorder_conserved_last,
     stoichiometry_matrix,
 )
-from .oracle import (
-    batch_means,
-    gillespie_simulate,
-    time_average,
-    truncated_cme_stationary,
-)
+from .oracle import run_oracle
 
 PROVEN_ERGODIC = "PROVEN_ERGODIC"
 IRREDUCIBILITY_DISPROVEN = "IRREDUCIBILITY_DISPROVEN"
@@ -52,14 +39,6 @@ UNSUPPORTED = "UNSUPPORTED"
 DRIFT_CERTIFIED = "certified"
 DRIFT_INFEASIBLE = "infeasible"
 DRIFT_SKIPPED = "skipped"
-
-SSA_T_END = 500.0
-# CME box budgets in states.  The sparse LU's fill grows with the number of
-# unconserved dimensions: with three, 46,656 states took 28 s and 1.1 GB;
-# on the oscillator (five, four conserved states) 31,104 took minutes and
-# 2.6 GB, 4,096 about a second.
-CME_STATES = 50000
-CME_STATES_HIGH_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -155,10 +134,7 @@ def analyze(
     oracle_data = None
     if oracle != "off":
         start = time.perf_counter()
-        try:
-            oracle_data = _run_oracle(oracle, net, cs, seed, max_states)
-        except (StateSpaceTooLarge, PropensityOverflow) as exc:
-            oracle_data = {"mode": oracle, "error": str(exc)}  # the verdict stands
+        oracle_data = run_oracle(oracle, net, cs, seed, max_states)
         timings["oracle"] = time.perf_counter() - start
 
     return report(
@@ -177,87 +153,6 @@ def analyze(
 def verify(text, witness, totals=None, **kw):
     """Irreducibility pipeline plus verification of a supplied witness."""
     return analyze(text, totals=totals, witness=witness, **kw)
-
-
-def _initial_states(net, cs, variant):
-    d_u = cs.d_u if cs is not None else net.num_species
-    x0 = [0 if variant == 0 else 3] * d_u
-    if cs is not None:  # as Python ints, which JSON needs
-        x0 += cs.conserved_states[0 if variant == 0 else -1].tolist()
-    return tuple(x0)
-
-
-def _ssa_run(net, cs, x0, seed, max_states):
-    """One SSA trajectory from x0, summarised as (run, conservation_kept);
-    the trajectory itself is dropped on return."""
-    # a trajectory holds (jumps + 1) x d counts, so it may make max_states // d
-    # jumps; one jump past the budget tells a capped run from one that ends at it
-    budget = max_states // net.num_species
-    traj = gillespie_simulate(net, x0, SSA_T_END, seed, max_steps=budget + 1)
-    jumps = len(traj.states) - 1
-    if jumps > budget:
-        raise StateSpaceTooLarge(
-            f"SSA trajectory exceeded the bound of {budget} jumps "
-            f"before t = {SSA_T_END:g}"
-        )
-    kept = True
-    if cs is not None:
-        states = traj.states.astype(object)  # exact integers
-        for gamma in cs.gammas:
-            amounts = states @ np.array(gamma, dtype=object)
-            kept = kept and not (amounts != amounts[0]).any()
-    _, se = batch_means(traj, 0)
-    run = {
-        "initial_state": list(x0),
-        "seed": traj.seed,
-        "jumps": jumps,
-        "time_averages": time_average(traj),
-        "first_species_se": se,
-    }
-    return run, kept
-
-
-def _run_oracle(mode, net, cs, seed, max_states):
-    if cs is not None and cs.n_c == 0:
-        return {"mode": mode, "skipped": "no conserved state matches the totals"}
-    if mode == "ssa":
-        if not net.num_species:
-            return {"mode": "ssa", "skipped": "no species"}
-        runs = []
-        constant = True
-        for variant in (0, 1):
-            x0 = _initial_states(net, cs, variant)
-            run, kept = _ssa_run(net, cs, x0, seed + variant, max_states)
-            runs.append(run)
-            constant = constant and kept
-        return {"mode": "ssa", "runs": runs, "conservation_constant": constant}
-    if mode == "cme":
-        d_u = cs.d_u if cs is not None else net.num_species
-        n_c = cs.n_c if cs is not None else 1
-        cap = CME_STATES if d_u <= 2 else CME_STATES_HIGH_DIM
-        budget = min(max_states, cap) // n_c
-        # the largest cube within the budget, at most 61 states a side; a
-        # box with no unconserved species has no side, and one of 2 states a
-        # side holds at most one of each species, too few for its means to
-        # say anything (the cascade with d = 8 puts mass 0.53 on its boundary)
-        side = 1
-        while d_u and side < 61 and (side + 1) ** d_u <= budget:
-            side += 1
-        if side < 3:
-            return {"mode": "cme", "skipped": "state budget too small"}
-        bounds = [side - 1] * d_u
-        est = truncated_cme_stationary(net, bounds, cs, max_states=max_states)
-        means = [est.mean(i) for i in range(net.num_species)]
-        return {
-            "mode": "cme",
-            "box": bounds,
-            "interior_strongly_connected": est.interior_strongly_connected,
-            "interior_size": est.interior_size,
-            "stationary_means": means,
-            "boundary_mass": est.boundary_mass,
-            "truncation_flagged": est.truncation_flagged,
-        }
-    raise ValueError(f"unknown oracle mode {mode!r}")
 
 
 def _levels_to_names(levels, species):

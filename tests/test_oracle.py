@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -26,7 +27,7 @@ from ergocheck import (
     truncated_cme_stationary,
 )
 from ergocheck.network import DEFAULT_MAX_STATES
-from ergocheck.report import CME_STATES_HIGH_DIM
+from ergocheck.oracle import CME_STATES_HIGH_DIM
 from helpers import (
     ReferenceTrajectory,
     assert_in_key_order,
@@ -90,11 +91,16 @@ class TestSimulation:
         assert traj.states.dtype == np.int64
         assert traj.times.tolist() == [0.0]
 
-    def test_max_steps_cap(self, bd_text):
-        traj = gillespie_simulate(
-            parse_network(bd_text), (0,), 1e9, seed=5, max_steps=100
-        )
-        assert len(traj.states) == 101
+    def test_jump_budget_counts_the_species(self, bd_text):
+        # a trajectory holds (jumps + 1) x d counts: 100 states buy 100
+        # jumps of one species, and 50 once an inert second one is added
+        for text, budget in ((bd_text, 100), ("species: S C\n" + bd_text, 50)):
+            net = parse_network(text)
+            message = f"bound of {budget} jumps before t = 1e+09"
+            with pytest.raises(StateSpaceTooLarge, match=re.escape(message)):
+                gillespie_simulate(
+                    net, (0,) * net.num_species, 1e9, seed=5, max_states=100
+                )
 
     def test_jump_sizes_match_stoichiometry(self, bd_text):
         traj = gillespie_simulate(parse_network(bd_text), (0,), 200.0, seed=3)
@@ -161,7 +167,8 @@ class TestTimeAverages:
 def ssa_cases(seed, count):
     """(net, x0, t_end, seed, max_steps) on seeded random networks (some
     with conservation relations, second-order reactions and fractional
-    rates), plus hand-picked edge cases."""
+    rates), plus hand-picked edge cases; max_steps is the jump budget, or
+    None for the default one."""
     rng = random.Random(seed)
     cases = []
     for _ in range(count):
@@ -174,7 +181,7 @@ def ssa_cases(seed, count):
     pair = "0 -> A ; 1/2\n0 -> B ; 1/5\nA + B -> C ; 1\nC -> 0 ; 1\n"
     for text, x0, t_end, sim_seed, max_steps in [
         (bd, (0,), 200.0, 1, None),  # cut at t_end
-        (bd, (0,), 1e9, 2, 100),  # cut by max_steps
+        (bd, (0,), 1e9, 2, 100),  # over the budget
         (death, (0,), 10.0, 3, None),  # absorbing start
         (death, (6,), 1e3, 4, None),  # absorbed on the way
         ("A + B -> 0 ; 1\n", (1, 0), 10.0, 5, None),
@@ -203,6 +210,7 @@ def ssa_cases(seed, count):
         ("0 -> S ; 1\nS -> 0 ; 1/3\nS -> 0 ; 1/3\n", (2,), 50.0, 17, None),
         # uniforms come in blocks of 1,024, two a jump: a run across four
         # blocks, a last jump on a block's last uniform, and one jump more
+        # (each run's next draw, past the budget, opens one more block)
         (bd, (0,), 1e9, 18, 1600),
         (bd, (0,), 1e9, 19, 512),
         (bd, (0,), 1e9, 20, 513),
@@ -220,15 +228,27 @@ class TestReferenceSsa:
     def test_trajectories_and_averages_are_identical(self):
         capped = absorbed = conserved = huge = guarded = blocks = 0
         for net, x0, t_end, seed, max_steps in self.CASES:
-            args = (net, x0, t_end, seed, max_steps)
+            d = net.num_species
+            bound = {} if max_steps is None else {"max_states": max_steps * d}
+            over = None if max_steps is None else max_steps + 1
             try:
-                ref = gillespie_reference(*args)
+                ref = gillespie_reference(net, x0, t_end, seed, over)
             except PropensityOverflow:
                 with pytest.raises(PropensityOverflow):
-                    gillespie_simulate(*args)
+                    gillespie_simulate(net, x0, t_end, seed, **bound)
                 guarded += 1
                 continue
-            traj = gillespie_simulate(*args)
+            if len(ref.states) - 1 == over:
+                # one jump past the budget raises; cut midway between the
+                # last jump within it and that one, the run is kept whole
+                message = f"bound of {max_steps} jumps before t = {t_end:g}"
+                with pytest.raises(StateSpaceTooLarge, match=re.escape(message)):
+                    gillespie_simulate(net, x0, t_end, seed, **bound)
+                t_end = (ref.times[max_steps] + ref.times[over]) / 2
+                ref = gillespie_reference(net, x0, t_end, seed)
+                assert len(ref.states) - 1 == max_steps
+                capped += 1
+            traj = gillespie_simulate(net, x0, t_end, seed, **bound)
             assert traj.times.tolist() == list(ref.times)
             assert traj.states.tolist() == [list(s) for s in ref.states]
             assert (traj.seed, traj.t_end) == (ref.seed, ref.t_end)
@@ -241,7 +261,6 @@ class TestReferenceSsa:
                 means, se = batch_means(traj, c)
                 ref_means, ref_se = batch_means_reference(ref, f)
                 assert repr((means.tolist(), se)) == repr((ref_means.tolist(), ref_se))
-            capped += len(traj.states) - 1 == max_steps
             absorbed += len(traj.states) == 1
             try:
                 conserved += bool(find_conservation_relations(stoichiometry_matrix(net)))

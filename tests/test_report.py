@@ -12,7 +12,7 @@ from ergocheck import (
     render_report,
     verify,
 )
-from ergocheck.report import CME_STATES_HIGH_DIM
+from ergocheck.oracle import CME_STATES_HIGH_DIM
 from helpers import cascade_text
 
 
