@@ -40,10 +40,12 @@ BOUNDARY_MASS_THRESHOLD = 1e-8
 NUM_BATCHES = 20  # batch-means windows
 UNIFORM_BLOCK = 1024  # uniforms a draw; even, so a jump's pair is in one block
 SSA_T_END = 500.0
-# CME box budgets in states.  The sparse LU's fill grows with the number of
-# unconserved dimensions: with three, 46,656 states took 28 s and 1.1 GB;
-# on the oscillator (five, four conserved states) 31,104 took minutes and
-# 2.6 GB, 4,096 about a second.
+# CME box budgets in states.  The sparse LU's fill grows with the dimension
+# of the chain, the unconserved species plus the conserved ones less one per
+# relation: with three, 46,656 states took 28 s and 1.1 GB; on the
+# oscillator (five, four conserved states) 31,104 took minutes and 2.6 GB,
+# 4,096 about a second; on rings_text(5) (nine) 60 * 210 states took 17.7 s
+# and 826 MB.
 CME_STATES = 50000
 CME_STATES_HIGH_DIM = 4096
 
@@ -447,7 +449,8 @@ def run_oracle(mode, net, cs, seed, max_states):
             return {"mode": "ssa", "runs": runs, "conservation_constant": constant}
         d_u = cs.d_u if cs is not None else net.num_species
         n_c = cs.n_c if cs is not None else 1
-        cap = CME_STATES if d_u <= 2 else CME_STATES_HIGH_DIM
+        dim = d_u + (cs.d_c - cs.num_relations if cs is not None else 0)
+        cap = CME_STATES if dim <= 2 else CME_STATES_HIGH_DIM
         budget = min(max_states, cap) // n_c
         # the largest cube within the budget, at most 61 states a side; a
         # box with no unconserved species has no side, and one of 2 states a

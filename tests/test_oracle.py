@@ -28,6 +28,7 @@ from ergocheck import (
 )
 from ergocheck.network import DEFAULT_MAX_STATES
 from ergocheck.oracle import CME_STATES_HIGH_DIM
+from conftest import load
 from helpers import (
     ReferenceTrajectory,
     assert_in_key_order,
@@ -38,6 +39,7 @@ from helpers import (
     exact_stationary,
     gillespie_reference,
     random_network_text,
+    rings_text,
     time_average_reference,
 )
 
@@ -414,6 +416,19 @@ class TestOracleBox:
         assert box == [3] * 5
         states = math.prod(b + 1 for b in box) * report.conserved.n_c
         assert states <= CME_STATES_HIGH_DIM
+
+    def test_conserved_dimensions_count_towards_the_budget(self):
+        # rings_text(5) has one unconserved species, but its chain has nine
+        # dimensions (ten conserved species, two relations): the 50,000-state
+        # budget gave a box of 60 on 525 conserved states, 17.7 s and 826 MB
+        start = time.perf_counter()
+        report = analyze(rings_text(5), totals=(2, 3), oracle="cme")
+        assert time.perf_counter() - start < 5.0
+        assert report.oracle["box"] == [6]
+        assert report.oracle["truncation_flagged"]
+        # the switch's chain has two dimensions and keeps the larger budget
+        report = analyze(load("switch"), totals=(40,), oracle="cme")
+        assert report.oracle["box"] == [60]
 
 
 class TestIrreducibilityProbe:
