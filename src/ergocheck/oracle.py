@@ -44,8 +44,8 @@ SSA_T_END = 500.0
 # of the chain, the unconserved species plus the conserved ones less one per
 # relation: with three, 46,656 states took 28 s and 1.1 GB; on the
 # oscillator (five, four conserved states) 31,104 took minutes and 2.6 GB,
-# 4,096 about a second; on rings_text(5) (nine) 60 * 210 states took 17.7 s
-# and 826 MB.
+# 4,096 about a second; on two rings of five species (nine, 525 conserved
+# states) 32,025 took 17.7 s and 826 MB.
 CME_STATES = 50000
 CME_STATES_HIGH_DIM = 4096
 

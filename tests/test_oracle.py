@@ -212,7 +212,6 @@ def ssa_cases(seed, count):
         ("0 -> S ; 1\nS -> 0 ; 1/3\nS -> 0 ; 1/3\n", (2,), 50.0, 17, None),
         # uniforms come in blocks of 1,024, two a jump: a run across four
         # blocks, a last jump on a block's last uniform, and one jump more
-        # (each run's next draw, past the budget, opens one more block)
         (bd, (0,), 1e9, 18, 1600),
         (bd, (0,), 1e9, 19, 512),
         (bd, (0,), 1e9, 20, 513),
