@@ -1,14 +1,17 @@
 """Desk-scale empirical cross-validation.
 
 Gillespie direct-method trajectories, two uniforms a jump (Gillespie
-1977) drawn from the generator in blocks, updated after each jump along
-the reaction dependency graph by one propensity closure per reaction (the
-same float operations and random stream as a full sweep with scalar
-draws, so reproducible bit for bit from a seed), kept as a float array
-of jump times and one integer array of visited states; ergodic time
-averages of every species and batch-means standard errors of one, read
-from the state array's columns and summed in state order so every float
-equals a state-by-state loop's; and the finite-state projection of the
+1977) drawn from the generator in blocks, over a bounded table of the
+visited states that links each state to the row each fired reaction led
+to, so a revisit costs one lookup; a state not seen before is updated
+from its predecessor along the reaction dependency graph by one
+propensity closure per reaction (the same float operations and random
+stream as a full sweep with scalar draws, so reproducible bit for bit
+from a seed); a trajectory is kept as a float array of jump times and
+one integer array of visited states; ergodic time averages of every
+species and batch-means standard errors of one, read from the state
+array's columns and summed in state order so every float equals a
+state-by-state loop's; and the finite-state projection of the
 CME (Munsky & Khammash 2006) on a box: the truncated chain is built once
 as arrays, its stationary distribution comes from one sparse
 floating-point solve (a box whose chain has other than one closed class
@@ -40,6 +43,9 @@ BOUNDARY_MASS_THRESHOLD = 1e-8
 NUM_BATCHES = 20  # batch-means windows
 UNIFORM_BLOCK = 1024  # uniforms a draw; even, so a jump's pair is in one block
 SSA_T_END = 500.0
+# propensities the SSA's table of visited states may hold, so it holds
+# SSA_TABLE_SLOTS // K rows for K reactions
+SSA_TABLE_SLOTS = 2**14
 # CME box budgets in states.  The sparse LU's fill grows with the dimension
 # of the chain, the unconserved species plus the conserved ones less one per
 # relation: with three, 46,656 states took 28 s and 1.1 GB; on the
@@ -92,20 +98,23 @@ def _float_rates(net):
     return rates
 
 
-def _propensity(x, rate, need):
-    """A closure over the live state list `x` that returns one reaction's
-    mass-action propensity.
+def _propensity(rate, need):
+    """A closure that returns one reaction's mass-action propensity at the
+    state it is given, a tuple or list of counts.
 
     Every shape takes the float operations of the general loop in the same
     order: `p <= 0.0` after each reactant species returns 0.0, so -0.0
     becomes 0.0 and a NaN passes.  Order one and `A + B` are unrolled; any
-    other shape runs the general loop.
+    other shape runs the general loop.  The value depends on the counts of
+    the reactant species alone, so a state's propensities are the same
+    floats whichever jump reached it, and `gillespie_simulate` may keep
+    them in its table of visited states.
     """
     orders = [v for _, v in need]
     if orders == [1]:
         ((i, _),) = need
 
-        def order_one():
+        def order_one(x):
             p = rate * x[i]
             return 0.0 if p <= 0.0 else p
 
@@ -113,7 +122,7 @@ def _propensity(x, rate, need):
     if orders == [1, 1]:
         (i, _), (j, _) = need
 
-        def pair():
+        def pair(x):
             p = rate * x[i]
             if p <= 0.0:
                 return 0.0
@@ -122,7 +131,7 @@ def _propensity(x, rate, need):
 
         return pair
 
-    def general():
+    def general(x):
         p = rate
         for i, v in need:
             xi = x[i]
@@ -157,26 +166,36 @@ def gillespie_simulate(net, x0, t_end, seed, max_states=DEFAULT_MAX_STATES):
     from those of versions that drew an exponential and a uniform per
     jump.
 
-    After a jump only the propensities that depend on a species the fired
-    reaction changed are recomputed (the dependency graph of Gibson & Bruck,
-    J. Phys. Chem. A 104, 2000), each by one closure per reaction over the
-    live state.  Each closure takes the same float operations in the same
-    order as a full sweep, the total and the chosen reaction come from one
-    running sum in reaction order, and the uniforms are used in the order
-    they are drawn, so a seed fixes the trajectory bit for bit.
+    The visited states are kept in a table, one row per state: its count
+    tuple, its propensities, their running sums in reaction order and, for
+    each reaction fired from it so far, the row of the state it led to.  A
+    jump along a link already made costs one lookup and one bisection of
+    the stored running sums.  A state not linked from its predecessor is
+    looked up by its counts; one not seen before takes its predecessor's
+    propensities and recomputes only those that read a species the fired
+    reaction changed (the dependency graph of Gibson & Bruck, J. Phys.
+    Chem. A 104, 2000), each by one closure per reaction, and is checked
+    against RATE_GUARD.  Rows name each other by index, so the table holds
+    no reference cycle and is freed on return.  It holds at most
+    SSA_TABLE_SLOTS propensities (and at least one row); past that, new
+    states are built but not stored, and their propensity list is updated
+    in place.  A state's propensities depend on its counts alone, each
+    closure takes the same float operations in the same order as a full
+    sweep, the running sums are taken in reaction order, and the uniforms
+    are used in the order they are drawn, so a seed fixes the trajectory
+    bit for bit, whatever the table holds.
 
     A trajectory holds (jumps + 1) x d counts, so it may make
     max_states // d jumps; a jump beyond them before t_end raises
     StateSpaceTooLarge.
     """
     rng = np.random.default_rng(seed)
-    rows = [r.displacement for r in net.reactions]
+    deltas = [r.displacement for r in net.reactions]
     needs = [[(i, v) for i, v in enumerate(r.reactants) if v] for r in net.reactions]
-    moves = [[(i, z) for i, z in enumerate(row) if z] for row in rows]
+    moves = [[(i, z) for i, z in enumerate(delta) if z] for delta in deltas]
     initial = tuple(int(v) for v in x0)
-    x = list(initial)
     rates = _float_rates(net)
-    rate_of = [_propensity(x, rate, need) for rate, need in zip(rates, needs)]
+    rate_of = [_propensity(rate, need) for rate, need in zip(rates, needs)]
     # (j, closure) for the reactions whose propensity reads a species that
     # reaction k changes
     affected = [
@@ -185,29 +204,41 @@ def gillespie_simulate(net, x0, t_end, seed, max_states=DEFAULT_MAX_STATES):
             for j, need in enumerate(needs)
             if any(delta[i] for i, _ in need)
         ]
-        for delta in rows
+        for delta in deltas
     ]
-
-    props = [f() for f in rate_of]
     last = net.num_reactions - 1
     budget = max_states // max(net.num_species, 1)
+    capacity = max(1, SSA_TABLE_SLOTS // max(net.num_reactions, 1))
+    accumulate, bisect_right = itertools.accumulate, bisect.bisect_right
+    log1p = math.log1p
+
+    # the current state, its propensities and their running sums in
+    # reaction order; never sum(), which compensates on Python 3.12+, nor
+    # np.sum, which is pairwise
+    state = initial
+    props = [f(state) for f in rate_of]
+    cumulative = list(accumulate(props))
+    total = cumulative[-1] if cumulative else 0.0
+    if total > RATE_GUARD:
+        raise PropensityOverflow(f"total rate {total:g} exceeds guard")
+    # the table of visited states: row r holds table_state[r],
+    # table_props[r], their running sums table_sums[r] (the total rate
+    # last) and table_links[r], which maps each reaction fired from the
+    # state so far to the row it led to
+    row_of = {state: 0}
+    table_state, table_props = [state], [props]
+    table_sums, table_links = [cumulative], [{}]
+    # the current state's row and links; row -1 and links of its own, never
+    # followed, for a state the full table does not hold
+    row, links = 0, table_links[0]
+
     t = 0.0
     jumps = 0
     times = array.array("d", [0.0])  # 8 bytes a jump, not a float object
     fired = array.array("q")
     next_pair = _uniform_pairs(rng).__next__
-    accumulate, bisect_right = itertools.accumulate, bisect.bisect_right
-    log1p = math.log1p
     add_time, add_fired = times.append, fired.append
-    while True:
-        # running sums in reaction order; never sum(), which compensates
-        # on Python 3.12+, nor np.sum, which is pairwise
-        cumulative = list(accumulate(props))
-        total = cumulative[-1] if cumulative else 0.0
-        if total > RATE_GUARD:
-            raise PropensityOverflow(f"total rate {total:g} exceeds guard")
-        if total == 0.0:
-            break
+    while total != 0.0:
         u1, u2 = next_pair()
         t += -log1p(-u1) / total  # ln(1 / r1) / total with r1 = 1 - u1 in (0, 1]
         if t >= t_end:
@@ -220,24 +251,61 @@ def gillespie_simulate(net, x0, t_end, seed, max_states=DEFAULT_MAX_STATES):
         k = bisect_right(cumulative, u2 * total)
         if k > last:
             k = last
-        for i, z in moves[k]:
-            x[i] += z
-        for j, f in affected[k]:
-            props[j] = f()
         add_time(t)
         add_fired(k)
         jumps += 1
+        target = links.get(k)
+        if target is None:
+            if row >= 0:
+                state, props = table_state[row], table_props[row]
+            successor = list(state)
+            for i, z in moves[k]:
+                successor[i] += z
+            state = tuple(successor)
+            target = row_of.get(state)
+            if target is None:
+                # not seen before: the predecessor's propensities, those
+                # that read a species the fired reaction changed recomputed
+                if row >= 0:
+                    props = props[:]  # the stored row keeps its own
+                for j, f in affected[k]:
+                    props[j] = f(state)
+                cumulative = list(accumulate(props))
+                total = cumulative[-1]
+                if total > RATE_GUARD:
+                    raise PropensityOverflow(f"total rate {total:g} exceeds guard")
+                if len(table_state) == capacity:
+                    row, links = -1, {}
+                    continue
+                target = len(table_state)
+                row_of[state] = target
+                table_state.append(state)
+                table_props.append(props)
+                table_sums.append(cumulative)
+                table_links.append({})
+            links[k] = target
+        row = target
+        cumulative = table_sums[row]
+        total = cumulative[-1]
+        links = table_links[row]
+
     # the visited states: the initial one plus the running sum of the fired
     # displacements, in int64 when no state and no displacement can leave
     # its range and over Python ints (dtype object) otherwise
-    reach = max(map(abs, initial), default=0) + max(len(fired), 1) * max(
-        (abs(z) for row in rows for z in row), default=0
+    reach = max(map(abs, initial), default=0) + max(jumps, 1) * max(
+        (abs(z) for delta in deltas for z in delta), default=0
     )
     dtype = np.int64 if reach < 2**63 else object
-    steps = np.array(rows, dtype=dtype).reshape(len(rows), len(initial))
-    path = np.vstack([np.array([initial], dtype=dtype), steps[np.asarray(fired)]])
+    steps = np.array(deltas, dtype=dtype).reshape(len(deltas), len(initial))
+    path = np.empty((jumps + 1, len(initial)), dtype=dtype)
+    path[0] = initial
+    # mode "clip" writes straight into `out` (the indices are in range);
+    # the default mode "raise" would fill a buffer first
+    np.take(steps, np.frombuffer(fired, dtype=np.int64), axis=0, out=path[1:],
+            mode="clip")
     np.cumsum(path, axis=0, out=path)
-    return Trajectory(times=np.array(times), states=path, seed=seed, t_end=float(t_end))
+    times = np.frombuffer(times, dtype=np.float64)
+    return Trajectory(times=times, states=path, seed=seed, t_end=float(t_end))
 
 
 def time_average(traj):
@@ -249,9 +317,11 @@ def time_average(traj):
     """
     if traj.t_end == 0:  # as the division of a loop's Python float would
         raise ZeroDivisionError("time average over a zero-length trajectory")
-    held = np.append(traj.times[1:], traj.t_end) - traj.times
-    weighted = traj.states.T.astype(float) * held
-    total = np.cumsum(weighted, axis=1)[:, -1]
+    held = np.append(traj.times[1:], traj.t_end)
+    held -= traj.times
+    weighted = traj.states.T.astype(float)
+    weighted *= held
+    total = np.cumsum(weighted, axis=1, out=weighted)[:, -1]
     return (total / traj.t_end).tolist()
 
 
@@ -262,19 +332,22 @@ def batch_means(traj, species):
     Batch means tame trajectory autocorrelation; the standard error of
     their mean is a valid uncertainty estimate for the overall average.
     Each holding interval is split at the window edges it crosses, and the
-    pieces are added to the window sums in state order.
+    pieces are added to the window sums in state order.  At most three
+    arrays of one entry a piece are alive at once.
     """
     edges = np.linspace(0.0, traj.t_end, NUM_BATCHES + 1)
     times = traj.times
-    values = traj.states[:, species].astype(float)
     # the pieces lie between consecutive jump times and edges; each is held
     # by the last state that starts at or before it
     cuts = np.union1d(times, edges)
     lo, hi = cuts[:-1], cuts[1:]
-    state = np.searchsorted(times, lo, side="right") - 1
+    held_by = np.searchsorted(times, lo, side="right") - 1
+    pieces = traj.states[held_by, species].astype(float)
+    del held_by
+    pieces *= hi - lo
     window = np.searchsorted(edges, lo, side="right") - 1
     sums = np.zeros(NUM_BATCHES)
-    np.add.at(sums, window, values[state] * (hi - lo))
+    np.add.at(sums, window, pieces)
     width = traj.t_end / NUM_BATCHES
     means = sums / width
     se = float(np.std(means, ddof=1) / np.sqrt(NUM_BATCHES))

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -27,7 +28,7 @@ from ergocheck import (
     truncated_cme_stationary,
 )
 from ergocheck.network import DEFAULT_MAX_STATES
-from ergocheck.oracle import CME_STATES_HIGH_DIM
+from ergocheck.oracle import CME_STATES_HIGH_DIM, SSA_T_END
 from conftest import load
 from helpers import (
     ReferenceTrajectory,
@@ -215,6 +216,8 @@ def ssa_cases(seed, count):
         (bd, (0,), 1e9, 18, 1600),
         (bd, (0,), 1e9, 19, 512),
         (bd, (0,), 1e9, 20, 513),
+        # a total rate beyond the guard first at the tenth state, (11,)
+        ("S -> 2*S ; 1e14\n", (2,), 50.0, 21, None),
     ]:
         cases.append((parse_network(text), x0, t_end, sim_seed, max_steps))
     return cases
@@ -226,8 +229,10 @@ class TestReferenceSsa:
 
     CASES = ssa_cases(17, 150)
 
-    def test_trajectories_and_averages_are_identical(self):
-        capped = absorbed = conserved = huge = guarded = blocks = 0
+    def compare_every_case(self):
+        """Checks each case against the reference and returns how many
+        cases showed each property."""
+        capped = absorbed = conserved = huge = guarded = late_guard = blocks = 0
         for net, x0, t_end, seed, max_steps in self.CASES:
             d = net.num_species
             bound = {} if max_steps is None else {"max_states": max_steps * d}
@@ -238,6 +243,11 @@ class TestReferenceSsa:
                 with pytest.raises(PropensityOverflow):
                     gillespie_simulate(net, x0, t_end, seed, **bound)
                 guarded += 1
+                try:  # does the initial state pass the guard?
+                    gillespie_reference(net, x0, 0.0, seed)
+                except PropensityOverflow:
+                    continue
+                late_guard += 1
                 continue
             if len(ref.states) - 1 == over:
                 # one jump past the budget raises; cut midway between the
@@ -270,7 +280,33 @@ class TestReferenceSsa:
             huge += traj.states.dtype == object and traj.states.max() >= 2**63
             # two uniforms a jump: more jumps than a block has uniforms need a third
             blocks += len(traj.states) - 1 > oracle_mod.UNIFORM_BLOCK
-        assert capped and absorbed and conserved and huge and guarded and blocks
+        return capped, absorbed, conserved, huge, guarded, late_guard, blocks
+
+    def test_trajectories_and_averages_are_identical(self):
+        assert all(self.compare_every_case())
+
+    def test_one_row_table_gives_the_same_trajectories(self, monkeypatch):
+        # the table keeps max(1, slots // K) visited states: with one row
+        # only the initial state is stored, every other state is built
+        # again on each visit, and a guard first exceeded at a later state
+        # is met after the table is full
+        monkeypatch.setattr(oracle_mod, "SSA_TABLE_SLOTS", 1)
+        assert all(self.compare_every_case())
+
+    def test_no_reference_cycle_is_left(self):
+        # rows of the table name each other by index: a table linked by
+        # reference would leave cycles for the collector to free
+        net = parse_network(load("switch"))
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            traj = gillespie_simulate(net, (0, 5, 0), SSA_T_END, seed=3)
+            assert len(traj.states) > 1000
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_repeated_times_and_times_on_window_edges(self):
         # a zero holding interval (t + dt == t in floats) and jumps that land
