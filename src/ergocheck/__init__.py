@@ -33,7 +33,6 @@ from .irreducibility import (
     conserved_class_analysis,
     fireable_reactions,
     level_decomposition,
-    level_decomposition_conserved,
 )
 from .lfp import (
     LfpOutcome,

@@ -158,55 +158,41 @@ def conserved_class_analysis(net, cs, available):
     )
 
 
-def _levels(num_species, producible):
-    """Levels G_l = producible(H_{l-1}) minus H_{l-1}, from H_0 = {} until
-    nothing new appears or every species is covered."""
-    species = set(range(num_species))
+def level_decomposition(net, cs=None):
+    """Levels G_l = P(H_{l-1}) minus H_{l-1} over the unconserved species,
+    from H_0 = {} until nothing new appears or every species is covered.
+
+    P(H) intersects, over the closed classes of the conserved chain for
+    availability H, the species made by the reactions each class can fire.
+    Without conservation there is one class: the reactions whose reactants
+    all lie in H.
+    """
+    d_u = cs.d_u if cs is not None else net.num_species
+    supports = [
+        (
+            frozenset(i for i, c in enumerate(r.reactants[:d_u]) if c),
+            frozenset(i for i, c in enumerate(r.products[:d_u]) if c),
+        )
+        for r in net.reactions
+    ]
+    species = set(range(d_u))
     h = set()
     levels = []
     while h != species:
-        g = producible(frozenset(h)) - h
+        if cs is None:
+            made = {i for nu_s, nup_s in supports if nu_s <= h for i in nup_s}
+        else:
+            per_class = [
+                {i for k in ks for i in supports[k][1]}
+                for ks in conserved_class_analysis(net, cs, h).closed_fireable
+            ]
+            made = set.intersection(*per_class) if per_class else set()
+        g = made - h
         if not g:
             break
         h |= g
         levels.append(frozenset(g))
-    return LevelDecomposition(
-        levels=tuple(levels),
-        exhaustive=h == species,
-        uncovered=frozenset(species - h),
-    )
-
-
-def level_decomposition(net):
-    """Levels for the no-conservation case."""
-    supports = [
-        (
-            frozenset(i for i, c in enumerate(r.reactants) if c),
-            frozenset(i for i, c in enumerate(r.products) if c),
-        )
-        for r in net.reactions
-    ]
-    return _levels(
-        net.num_species,
-        lambda h: {i for nu_s, nup_s in supports if nu_s <= h for i in nup_s},
-    )
-
-
-def level_decomposition_conserved(net, cs):
-    """Levels over the unconserved species, gated per closed class.
-
-    A species enters level l only if every closed equivalence class of the
-    conserved chain for availability H_{l-1} admits a reaction producing it.
-    """
-
-    def producible(h):
-        made = [
-            {i for k in ks for i in range(cs.d_u) if net.reactions[k].products[i]}
-            for ks in conserved_class_analysis(net, cs, h).closed_fireable
-        ]
-        return set.intersection(*made) if made else set()
-
-    return _levels(cs.d_u, producible)
+    return LevelDecomposition(tuple(levels), h == species, frozenset(species - h))
 
 
 def _positive_flux_lfp(m):
@@ -234,11 +220,6 @@ def check_irreducibility(net, cs=None):
 
     def verdict(status, condition=None, diagnostic=""):
         return IrreducibilityVerdict(status, condition, diagnostic=diagnostic, **common)
-
-    def levels(network):
-        if conserved:
-            return level_decomposition_conserved(network, cs)
-        return level_decomposition(network)
 
     hnf = hermite_normal_form(m_bar)
     rank_value = len(hnf.pivots)
@@ -273,7 +254,7 @@ def check_irreducibility(net, cs=None):
                 " covering the conserved states",
             )
 
-    forward = levels(net)
+    forward = level_decomposition(net, cs)
     common.update(forward_levels=forward)
     if not forward.exhaustive:
         return verdict(
@@ -291,7 +272,7 @@ def check_irreducibility(net, cs=None):
             "no strictly positive flux vector with zero net effect",
         )
 
-    inverse = levels(inverse_network(net))
+    inverse = level_decomposition(inverse_network(net), cs)
     common.update(inverse_levels=inverse)
     if not inverse.exhaustive:
         return verdict(

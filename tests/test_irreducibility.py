@@ -13,7 +13,6 @@ from ergocheck import (
     fireable_reactions,
     inverse_network,
     level_decomposition,
-    level_decomposition_conserved,
     parse_network,
     reorder_conserved_last,
     stoichiometry_matrix,
@@ -295,7 +294,7 @@ class TestLevels:
 
     def test_oscillator_forward(self, oscillator_text):
         net, cs = conserved_setup(oscillator_text, (1, 1))
-        dec = level_decomposition_conserved(net, cs)
+        dec = level_decomposition(net, cs)
         assert dec.levels == (
             frozenset({0, 2}),
             frozenset({1, 3}),
@@ -305,7 +304,7 @@ class TestLevels:
 
     def test_oscillator_inverse(self, oscillator_text):
         net, cs = conserved_setup(oscillator_text, (1, 1))
-        dec = level_decomposition_conserved(inverse_network(net), cs)
+        dec = level_decomposition(inverse_network(net), cs)
         assert dec.levels == (frozenset({0, 1, 2, 3}), frozenset({4}))
         assert dec.exhaustive
 
@@ -318,7 +317,7 @@ class TestLevels:
             if l not in ("S6 -> S6 + S1 ; 1", "S8 -> S8 + S3 ; 1")
         ]
         net, cs = conserved_setup("\n".join(lines) + "\n", (1, 1))
-        dec = level_decomposition_conserved(net, cs)
+        dec = level_decomposition(net, cs)
         assert dec.levels == ()
         assert not dec.exhaustive
         assert dec.uncovered == frozenset(range(5))
