@@ -58,7 +58,7 @@ class UnsupportedReactionOrder(ErgocheckError):
 
 class PropensityOverflow(ErgocheckError):
     """Total jump rate exceeded the numeric guard during simulation, or a
-    rate constant lies beyond the float range."""
+    rate constant or a species count lies beyond the float range."""
 
 
 class WitnessRejected(InputError):

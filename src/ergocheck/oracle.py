@@ -77,7 +77,8 @@ class StationaryEstimate:
 
     def mean(self, coordinate=0):
         # Python's sum, in state order
-        return sum((self.probabilities * self.states[:, coordinate]).tolist())
+        counts = _float_counts(self.states[:, coordinate])
+        return sum((self.probabilities * counts).tolist())
 
 
 def _float_rates(net):
@@ -96,6 +97,19 @@ def _float_rates(net):
                 f"rate of reaction {k + 1} is below the float range"
             )
     return rates
+
+
+def _count_overflow():
+    return PropensityOverflow("a species count exceeds the float range")
+
+
+def _float_counts(counts):
+    """An array of counts as floats; a count beyond the float range raises
+    PropensityOverflow."""
+    try:
+        return counts.astype(float)
+    except OverflowError:
+        raise _count_overflow() from None
 
 
 def _propensity(rate, need):
@@ -216,7 +230,10 @@ def gillespie_simulate(net, x0, t_end, seed, max_states=DEFAULT_MAX_STATES):
     # reaction order; never sum(), which compensates on Python 3.12+, nor
     # np.sum, which is pairwise
     state = initial
-    props = [f(state) for f in rate_of]
+    try:
+        props = [f(state) for f in rate_of]
+    except OverflowError:
+        raise _count_overflow() from None
     cumulative = list(accumulate(props))
     total = cumulative[-1] if cumulative else 0.0
     if total > RATE_GUARD:
@@ -268,8 +285,11 @@ def gillespie_simulate(net, x0, t_end, seed, max_states=DEFAULT_MAX_STATES):
                 # that read a species the fired reaction changed recomputed
                 if row >= 0:
                     props = props[:]  # the stored row keeps its own
-                for j, f in affected[k]:
-                    props[j] = f(state)
+                try:
+                    for j, f in affected[k]:
+                        props[j] = f(state)
+                except OverflowError:
+                    raise _count_overflow() from None
                 cumulative = list(accumulate(props))
                 total = cumulative[-1]
                 if total > RATE_GUARD:
@@ -319,7 +339,7 @@ def time_average(traj):
         raise ZeroDivisionError("time average over a zero-length trajectory")
     held = np.append(traj.times[1:], traj.t_end)
     held -= traj.times
-    weighted = traj.states.T.astype(float)
+    weighted = _float_counts(traj.states.T)
     weighted *= held
     total = np.cumsum(weighted, axis=1, out=weighted)[:, -1]
     return (total / traj.t_end).tolist()
@@ -342,7 +362,7 @@ def batch_means(traj, species):
     cuts = np.union1d(times, edges)
     lo, hi = cuts[:-1], cuts[1:]
     held_by = np.searchsorted(times, lo, side="right") - 1
-    pieces = traj.states[held_by, species].astype(float)
+    pieces = _float_counts(traj.states[held_by, species])
     del held_by
     pieces *= hi - lo
     window = np.searchsorted(edges, lo, side="right") - 1
@@ -388,7 +408,7 @@ def _build_chain(net, bounds, cs, max_states):
         falling = np.ones(len(i))
         for c, v in enumerate(r.reactants):
             if v:
-                xc = x[i, c].astype(float)
+                xc = _float_counts(x[i, c])
                 for step in range(v):
                     falling *= xc - step
                 falling /= math.factorial(v)
@@ -502,8 +522,8 @@ def _ssa_run(net, cs, x0, seed, max_states):
 
 def run_oracle(mode, net, cs, seed, max_states):
     """The report's `oracle` section: two SSA runs or one CME solve on the
-    candidate space of an analysis, or why they were skipped.  A bound or
-    a rate the oracle cannot meet is recorded as its error."""
+    candidate space of an analysis, or why they were skipped.  A bound, or
+    a rate or count beyond the float range, is recorded as its error."""
     if cs is not None and cs.n_c == 0:
         return {"mode": mode, "skipped": "no conserved state matches the totals"}
     if mode not in ("ssa", "cme"):

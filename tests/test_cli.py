@@ -93,6 +93,32 @@ class TestExitCodes:
             assert data["oracle"] == {"mode": mode, "error": error}
             assert result.stderr == ""
 
+    def test_count_beyond_the_float_range_is_recorded_in_the_report(
+        self, runner, tmp_path
+    ):
+        # a conserved catalyst of 10**400 molecules, and a rare jump that
+        # makes 10**400 molecules mid-run: neither count fits a float
+        p = tmp_path / "big.crn"
+        big = str(10**400)
+        catalyst = "0 -> X ; 1\nX -> 0 ; 1\nA -> A + X ; 1\n"
+        jump = f"0 -> S ; 1\nS -> 0 ; 1\n0 -> {big}*S ; 1/100\n"
+        for text, totals, mode in (
+            (catalyst, ("--conserved-totals", big), "ssa"),
+            (catalyst, ("--conserved-totals", big), "cme"),
+            (jump, (), "ssa"),
+        ):
+            p.write_text(text)
+            args = ("--oracle", mode, "--format", "json", "--no-timings")
+            result = run(runner, "analyze", str(p), *totals, *args)
+            assert result.exit_code == 0
+            data = json.loads(result.stdout)
+            assert data["verdict"] == "PROVEN_ERGODIC"
+            assert data["oracle"] == {
+                "mode": mode,
+                "error": "a species count exceeds the float range",
+            }
+            assert result.stderr == ""
+
     def test_ssa_without_species_is_skipped(self, runner, tmp_path):
         p = tmp_path / "empty.crn"
         p.write_text("0 -> 0 ; 1\n")
