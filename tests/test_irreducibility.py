@@ -23,9 +23,9 @@ from ergocheck.irreducibility import (
     NECESSARY_CONDITION_FAILED,
     reachability_closure,
 )
-from ergocheck.errors import InternalCheckFailed
+from ergocheck.errors import InternalCheckFailed, OverlappingConservation
 from ergocheck.network import StateIndex
-from helpers import bfs_reachability
+from helpers import bfs_reachability, random_network_text
 
 
 SWITCH = "0 -> X ; 1\nX -> 0 ; 1\nA + X -> B + X ; 1\nB -> A ; 1\n"
@@ -177,6 +177,45 @@ def random_pool_chain(rng, two_pools):
     return "\n".join(lines) + "\n"
 
 
+def reference_levels(net, cs=None):
+    """Levels taken one at a time from the dense references: the products
+    of `fireable_reactions` without conservation, and of each closed class
+    of `reference_classes` with it.  Returns (levels, uncovered)."""
+    d_u = cs.d_u if cs is not None else net.num_species
+    h, levels = frozenset(), []
+    while len(h) < d_u:
+        if cs is None:
+            per_class = [fireable_reactions(net, h)]
+        else:
+            per_class = reference_classes(net, cs, h)[2]
+        made = [
+            {i for k in ks for i in range(d_u) if net.reactions[k].products[i]}
+            for ks in per_class
+        ]
+        g = (set.intersection(*made) if made else set()) - h
+        if not g:
+            break
+        levels.append(frozenset(g))
+        h |= g
+    return tuple(levels), frozenset(range(d_u)) - h
+
+
+def random_gated_chain(rng):
+    """A pool of A, B, C with random moves, catalysed or not by X and Y,
+    where pool species make X or Y: the closed classes of the conserved
+    chain can differ in what they make."""
+    lines = ["X -> 0 ; 1", "Y -> 0 ; 1"]
+    lines += [f"0 -> {u} ; 1" for u in "XY" if rng.random() < 0.4]
+    for lhs, rhs in rng.sample(POOL_MOVES[0], rng.randint(1, 4)):
+        cat = rng.choice(["", " + X", " + Y"])
+        lines.append(f"{lhs}{cat} -> {rhs}{cat} ; 1")
+    for _ in range(rng.randint(1, 3)):
+        pool, made = rng.choice("ABC"), rng.choice("XY")
+        cat = rng.choice(["", " + " + ("Y" if made == "X" else "X")])
+        lines.append(f"{pool}{cat} -> {pool}{cat} + {made} ; 1")
+    return "\n".join(lines) + "\n"
+
+
 class TestSparseClassAnalysis:
     def test_matches_bfs_on_random_chains_past_256_states(self):
         rng = random.Random(2024)
@@ -321,6 +360,52 @@ class TestLevels:
         assert dec.levels == ()
         assert not dec.exhaustive
         assert dec.uncovered == frozenset(range(5))
+
+
+    def test_matches_the_reference_on_random_networks(self):
+        # forward and inverse levels, with and without conservation, at
+        # totals up to 3
+        rng = random.Random(1312)
+        cases = {False: 0, True: 0}
+        shapes, split = set(), 0
+        while min(cases.values()) < 250:
+            pick = rng.random()
+            if pick < 0.15:
+                text = random_pool_chain(rng, two_pools=rng.random() < 0.3)
+            elif pick < 0.35:
+                text = random_gated_chain(rng)
+            else:
+                text = random_network_text(rng, max_species=5, max_reactions=7)
+            net = parse_network(text)
+            try:
+                gammas = find_conservation_relations(stoichiometry_matrix(net))
+            except OverlappingConservation:
+                continue
+            cs = None
+            if gammas:
+                net, cs = reorder_conserved_last(net, gammas)
+                products = [r.products for r in net.reactions]
+                totals = tuple(rng.randint(0, 3) for _ in gammas)
+                cs = enumerate_conserved_states(cs, totals)
+                if not cs.n_c:  # check_irreducibility stops before the levels
+                    continue
+                made = {
+                    frozenset(i for k in ks for i in range(cs.d_u) if products[k][i])
+                    for ks in reference_classes(net, cs, frozenset())[2]
+                }
+                split += len(made) > 1
+            for network in (net, inverse_network(net)):
+                dec = level_decomposition(network, cs)
+                levels, uncovered = reference_levels(network, cs)
+                assert dec.levels == levels
+                assert dec.uncovered == uncovered
+                assert dec.exhaustive == (not uncovered)
+                shapes.add((cs is not None, len(levels) > 1, not uncovered))
+            cases[cs is not None] += 1
+        # several levels and stalls, exhaustive runs, in both candidate
+        # spaces; and closed classes that make different species
+        assert len(shapes) == 8
+        assert split >= 20
 
 
 class TestVerdicts:
