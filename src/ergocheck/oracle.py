@@ -189,7 +189,8 @@ def gillespie_simulate(net, x0, t_end, seed, max_states=DEFAULT_MAX_STATES):
     propensities and recomputes only those that read a species the fired
     reaction changed (the dependency graph of Gibson & Bruck, J. Phys.
     Chem. A 104, 2000), each by one closure per reaction, and is checked
-    against RATE_GUARD.  Rows name each other by index, so the table holds
+    against RATE_GUARD; a count beyond the float range raises
+    PropensityOverflow.  Rows name each other by index, so the table holds
     no reference cycle and is freed on return.  It holds at most
     SSA_TABLE_SLOTS propensities (and at least one row); past that, new
     states are built but not stored, and their propensity list is updated

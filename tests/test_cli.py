@@ -73,7 +73,13 @@ class TestExitCodes:
         p = tmp_path / "fast.crn"
         huge = "0 -> S ; 1e400\nS -> 0 ; 1e400\n"  # beyond the float range
         tiny = "0 -> S ; 1e-400\nS -> 0 ; 1\n"  # below it: not a rate of 0.0
-        for text, mode, error in (
+        # a conserved catalyst of 10**400 molecules, and a rare jump that
+        # makes 10**400 molecules mid-run: neither count fits a float
+        big = str(10**400)
+        catalyst = "0 -> X ; 1\nX -> 0 ; 1\nA -> A + X ; 1\n"
+        jump = f"0 -> S ; 1\nS -> 0 ; 1\n0 -> {big}*S ; 1/100\n"
+        count = "a species count exceeds the float range"
+        for text, mode, error, *totals in (
             (
                 "0 -> S ; 10000000000000000\nS -> 0 ; 1\n",
                 "ssa",
@@ -83,29 +89,9 @@ class TestExitCodes:
             (huge, "cme", "rate of reaction 1 exceeds the float range"),
             (tiny, "ssa", "rate of reaction 1 is below the float range"),
             (tiny, "cme", "rate of reaction 1 is below the float range"),
-        ):
-            p.write_text(text)
-            args = ("--oracle", mode, "--format", "json", "--no-timings")
-            result = run(runner, "analyze", str(p), *args)
-            assert result.exit_code == 0
-            data = json.loads(result.stdout)
-            assert data["verdict"] == "PROVEN_ERGODIC"
-            assert data["oracle"] == {"mode": mode, "error": error}
-            assert result.stderr == ""
-
-    def test_count_beyond_the_float_range_is_recorded_in_the_report(
-        self, runner, tmp_path
-    ):
-        # a conserved catalyst of 10**400 molecules, and a rare jump that
-        # makes 10**400 molecules mid-run: neither count fits a float
-        p = tmp_path / "big.crn"
-        big = str(10**400)
-        catalyst = "0 -> X ; 1\nX -> 0 ; 1\nA -> A + X ; 1\n"
-        jump = f"0 -> S ; 1\nS -> 0 ; 1\n0 -> {big}*S ; 1/100\n"
-        for text, totals, mode in (
-            (catalyst, ("--conserved-totals", big), "ssa"),
-            (catalyst, ("--conserved-totals", big), "cme"),
-            (jump, (), "ssa"),
+            (catalyst, "ssa", count, "--conserved-totals", big),
+            (catalyst, "cme", count, "--conserved-totals", big),
+            (jump, "ssa", count),
         ):
             p.write_text(text)
             args = ("--oracle", mode, "--format", "json", "--no-timings")
@@ -113,10 +99,7 @@ class TestExitCodes:
             assert result.exit_code == 0
             data = json.loads(result.stdout)
             assert data["verdict"] == "PROVEN_ERGODIC"
-            assert data["oracle"] == {
-                "mode": mode,
-                "error": "a species count exceeds the float range",
-            }
+            assert data["oracle"] == {"mode": mode, "error": error}
             assert result.stderr == ""
 
     def test_ssa_without_species_is_skipped(self, runner, tmp_path):
