@@ -361,7 +361,6 @@ class TestLevels:
         assert not dec.exhaustive
         assert dec.uncovered == frozenset(range(5))
 
-
     def test_matches_the_reference_on_random_networks(self):
         # forward and inverse levels, with and without conservation, at
         # totals up to 3
