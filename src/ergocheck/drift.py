@@ -20,14 +20,13 @@ from .lfp import LfpProblem, solve_lfp, witness_satisfies, witness_violation
 class ReactionClassification:
     """Partition of reactions by what they contribute to the drift bound.
 
-    Indices are 0-based.  `unit_vectors[k]` is the unconserved reactant
-    index for each unary-unconserved reaction k.
+    Indices are 0-based.  A unary reaction's reactant is the species whose
+    count in its reactants is 1.
     """
 
     unary_unconserved: tuple
     binary: tuple
     remainder: tuple
-    unit_vectors: dict  # k -> reactant index in the unconserved block
 
 
 @dataclass(frozen=True)
@@ -50,16 +49,13 @@ def classify_reactions(net, cs=None):
     unary = []
     binary = []
     remainder = []
-    units = {}
     for k, r in enumerate(net.reactions):
         order = r.order
         if order > 2:
             raise UnsupportedReactionOrder(k)
         if order == 1:
-            i = next(j for j, c in enumerate(r.reactants) if c)
-            if i < d_u:
+            if r.reactants.index(1) < d_u:
                 unary.append(k)
-                units[k] = i
             else:
                 remainder.append(k)
         elif order == 2:
@@ -70,7 +66,6 @@ def classify_reactions(net, cs=None):
         unary_unconserved=tuple(unary),
         binary=tuple(binary),
         remainder=tuple(remainder),
-        unit_vectors=units,
     )
 
 
@@ -88,7 +83,7 @@ def build_drift_system(rc, net, cs=None):
     a_rows = [{} for _ in range(d_u)]
     for k in rc.unary_unconserved:
         r = net.reactions[k]
-        i = rc.unit_vectors[k]
+        i = r.reactants.index(1)
         for j, z in enumerate(r.displacement):
             if z:
                 a_rows[i][j] = a_rows[i].get(j, 0) + r.rate * z

@@ -25,11 +25,9 @@ class RationalMatrix:
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, nrows, ncols, rows=None):
+    def __init__(self, nrows, ncols, rows):
         self.nrows = nrows
         self.ncols = ncols
-        if rows is None:
-            rows = [{} for _ in range(nrows)]
         if len(rows) != nrows:
             raise DimensionMismatch(f"expected {nrows} rows, got {len(rows)}")
         self.rows = rows

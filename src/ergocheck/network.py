@@ -89,8 +89,8 @@ class ConservedStructure:
 
     `gammas` (at least one) are nonnegative coprime integer vectors (length
     d, reordered coordinates) whose supports are the trailing `d_c`
-    species, one contiguous block per relation (`relation_slices`, offsets
-    within the conserved block).  `permutation[new_index] = old_index`.
+    species, one contiguous block per relation, in relation order.
+    `permutation[new_index] = old_index`.
 
     `conserved_states` is E_c for the `totals`: n_c x d_c, rows in
     lexicographic order, int64 unless int64 could wrap (a total of 2^63 or
@@ -102,7 +102,6 @@ class ConservedStructure:
     d_u: int
     d_c: int
     permutation: tuple
-    relation_slices: tuple
     totals: tuple | None = None
     conserved_states: np.ndarray | None = field(default=None, compare=False)
 
@@ -410,13 +409,7 @@ def reorder_conserved_last(net, gammas):
     gammas = sorted(
         gammas, key=lambda g: min(i for i, v in enumerate(g) if v)
     )
-    conserved = []
-    slices = []
-    for g in gammas:
-        sup = [i for i, v in enumerate(g) if v]
-        start = len(conserved)
-        conserved.extend(sup)
-        slices.append((start, len(conserved)))
+    conserved = [i for g in gammas for i, v in enumerate(g) if v]
     unconserved = sorted(set(range(d)) - set(conserved))
     perm = tuple(unconserved + conserved)  # perm[new] = old
     d_u = len(unconserved)
@@ -440,7 +433,6 @@ def reorder_conserved_last(net, gammas):
         d_u=d_u,
         d_c=d - d_u,
         permutation=perm,
-        relation_slices=tuple(slices),
     )
     return new_net, cs
 
@@ -517,10 +509,8 @@ def enumerate_conserved_states(cs, totals, max_states=DEFAULT_MAX_STATES):
     if any(t < 0 for t in totals):
         raise InputError(f"conserved totals must be nonnegative, got {tuple(totals)}")
     totals = tuple(int(t) for t in totals)
-    weights = [
-        g[cs.d_u + start : cs.d_u + end]
-        for g, (start, end) in zip(cs.gammas, cs.relation_slices)
-    ]
+    # each gamma's nonzero entries are its relation's block, in block order
+    weights = [[v for v in g if v] for g in cs.gammas]
     size = 1
     for w, total in zip(weights, totals):
         size *= max(_count_relation_states(w, total, max_states), 1)

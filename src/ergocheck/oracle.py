@@ -116,16 +116,15 @@ def _propensity(rate, need):
     """A closure that returns one reaction's mass-action propensity at the
     state it is given, a tuple or list of counts.
 
-    Every shape takes the float operations of the general loop in the same
+    Both shapes take the float operations of the general loop in the same
     order: `p <= 0.0` after each reactant species returns 0.0, so -0.0
-    becomes 0.0 and a NaN passes.  Order one and `A + B` are unrolled; any
-    other shape runs the general loop.  The value depends on the counts of
-    the reactant species alone, so a state's propensities are the same
-    floats whichever jump reached it, and `gillespie_simulate` may keep
-    them in its table of visited states.
+    becomes 0.0 and a NaN passes.  Order one is unrolled; any other shape
+    runs the general loop.  The value depends on the counts of the
+    reactant species alone, so a state's propensities are the same floats
+    whichever jump reached it, and `gillespie_simulate` may keep them in
+    its table of visited states.
     """
-    orders = [v for _, v in need]
-    if orders == [1]:
+    if [v for _, v in need] == [1]:
         ((i, _),) = need
 
         def order_one(x):
@@ -133,17 +132,6 @@ def _propensity(rate, need):
             return 0.0 if p <= 0.0 else p
 
         return order_one
-    if orders == [1, 1]:
-        (i, _), (j, _) = need
-
-        def pair(x):
-            p = rate * x[i]
-            if p <= 0.0:
-                return 0.0
-            p *= x[j]
-            return 0.0 if p <= 0.0 else p
-
-        return pair
 
     def general(x):
         p = rate
@@ -176,9 +164,7 @@ def gillespie_simulate(net, x0, t_end, seed, max_states=DEFAULT_MAX_STATES):
     time is -ln(1 - u1) / a0 for the total rate a0, and the reaction is the
     first whose running sum exceeds u2 * a0.  The uniforms come in blocks
     of UNIFORM_BLOCK from `rng.random`, which returns the same values as
-    that many scalar draws.  For a given seed the trajectories differ
-    from those of versions that drew an exponential and a uniform per
-    jump.
+    that many scalar draws.
 
     The visited states are kept in a table, one row per state: its count
     tuple, its propensities, their running sums in reaction order and, for
@@ -382,22 +368,29 @@ def batch_means(traj, species):
 _Chain = namedtuple("_Chain", "states src dst reaction rate")
 
 
+def _candidate_space(net, cs):
+    """(d_u, E_c, gammas): the unconserved species count, the conserved
+    states one row each and the relations.  Without conservation every
+    species is unconserved and E_c is one empty state."""
+    if cs is None:
+        return net.num_species, np.zeros((1, 0), dtype=np.int64), ()
+    return cs.d_u, cs.conserved_states, cs.gammas
+
+
 def _build_chain(net, bounds, cs, max_states):
     """States of the truncated candidate space, a box over the unconserved
     species crossed with the enumerated conserved set, and all their
     transitions.  The box size is checked against `max_states` before any
     state is built."""
-    conserved = cs is not None
-    shape = [b + 1 for b in bounds[: cs.d_u if conserved else net.num_species]]
-    size = math.prod(shape) * (cs.n_c if conserved else 1)
+    d_u, conserved_states, _ = _candidate_space(net, cs)
+    shape = [b + 1 for b in bounds[:d_u]]
+    size = math.prod(shape) * len(conserved_states)
     if size > max_states:
         raise StateSpaceTooLarge(
             f"truncated space has {size} states > bound {max_states}"
         )
-    box = np.indices(shape).reshape(len(shape), math.prod(shape)).T
-    if conserved:
-        box = cross_rows(box, cs.conserved_states)
-    index = StateIndex(box)
+    box = np.indices(shape).reshape(d_u, math.prod(shape)).T
+    index = StateIndex(cross_rows(box, conserved_states))
     x = index.states
     rates = _float_rates(net)
     empty = np.empty(0, dtype=np.intp)
@@ -492,22 +485,14 @@ def empirical_irreducibility_probe(net, bounds, cs=None, max_states=DEFAULT_MAX_
     return _interior_probe(_build_chain(net, bounds, cs, max_states))
 
 
-def _initial_states(net, cs, variant):
-    d_u = cs.d_u if cs is not None else net.num_species
-    x0 = [0 if variant == 0 else 3] * d_u
-    if cs is not None:  # as Python ints, which JSON needs
-        x0 += cs.conserved_states[0 if variant == 0 else -1].tolist()
-    return tuple(x0)
-
-
-def _ssa_run(net, cs, x0, seed, max_states):
+def _ssa_run(net, gammas, x0, seed, max_states):
     """One SSA trajectory from x0, summarised as (run, conservation_kept);
     the trajectory itself is dropped on return."""
     traj = gillespie_simulate(net, x0, SSA_T_END, seed, max_states)
     kept = True
-    if cs is not None:
+    if gammas:
         states = traj.states.astype(object)  # exact integers
-        for gamma in cs.gammas:
+        for gamma in gammas:
             amounts = states @ np.array(gamma, dtype=object)
             kept = kept and not (amounts != amounts[0]).any()
     _, se = batch_means(traj, 0)
@@ -525,25 +510,28 @@ def run_oracle(mode, net, cs, seed, max_states):
     """The report's `oracle` section: two SSA runs or one CME solve on the
     candidate space of an analysis, or why they were skipped.  A bound, or
     a rate or count beyond the float range, is recorded as its error."""
-    if cs is not None and cs.n_c == 0:
-        return {"mode": mode, "skipped": "no conserved state matches the totals"}
     if mode not in ("ssa", "cme"):
         raise ValueError(f"unknown oracle mode {mode!r}")
+    d_u, conserved_states, gammas = _candidate_space(net, cs)
+    n_c = len(conserved_states)
+    if not n_c:
+        return {"mode": mode, "skipped": "no conserved state matches the totals"}
     try:
         if mode == "ssa":
             if not net.num_species:
                 return {"mode": "ssa", "skipped": "no species"}
             runs = []
             constant = True
-            for variant in (0, 1):
-                x0 = _initial_states(net, cs, variant)
-                run, kept = _ssa_run(net, cs, x0, seed + variant, max_states)
+            # from 0 and the first conserved state, then from 3 and the last;
+            # the conserved part as Python ints, which JSON needs
+            for variant, (start, c) in enumerate(((0, 0), (3, -1))):
+                x0 = tuple([start] * d_u + conserved_states[c].tolist())
+                run, kept = _ssa_run(net, gammas, x0, seed + variant, max_states)
                 runs.append(run)
                 constant = constant and kept
             return {"mode": "ssa", "runs": runs, "conservation_constant": constant}
-        d_u = cs.d_u if cs is not None else net.num_species
-        n_c = cs.n_c if cs is not None else 1
-        dim = d_u + (cs.d_c - cs.num_relations if cs is not None else 0)
+        # the chain's dimension: each relation fixes one conserved species
+        dim = net.num_species - len(gammas)
         cap = CME_STATES if dim <= 2 else CME_STATES_HIGH_DIM
         budget = min(max_states, cap) // n_c
         # the largest cube within the budget, at most 61 states a side; a

@@ -334,10 +334,11 @@ def relation_states_reference(weights, total):
 
 def conserved_states_reference(cs, totals):
     """E_c as a tuple of tuples: the product over relations (the first
-    relation varying slowest) of each relation's solutions."""
+    relation varying slowest) of each relation's solutions, each over the
+    nonzero entries of its gamma."""
     per_relation = [
-        relation_states_reference(g[cs.d_u + start : cs.d_u + end], total)
-        for g, (start, end), total in zip(cs.gammas, cs.relation_slices, totals)
+        relation_states_reference([v for v in g if v], total)
+        for g, total in zip(cs.gammas, totals)
     ]
     return tuple(sum(parts, ()) for parts in itertools.product(*per_relation))
 

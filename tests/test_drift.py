@@ -50,14 +50,12 @@ class TestClassification:
         assert rc.unary_unconserved == (1,)
         assert rc.binary == ()
         assert rc.remainder == (0,)
-        assert rc.unit_vectors == {1: 0}
 
     def test_oscillator(self, oscillator_text):
         _, rc, _ = oscillator_system(oscillator_text)
         assert rc.unary_unconserved == (6, 7, 8, 11, 12, 13, 15)
         assert rc.binary == (0, 2, 14)
         assert set(rc.remainder) == {1, 3, 4, 5, 9, 10}
-        assert rc.unit_vectors == {6: 0, 7: 0, 8: 1, 11: 2, 12: 2, 13: 3, 15: 4}
 
     def test_partition_property(self):
         rng = random.Random(17)

@@ -248,7 +248,6 @@ class TestConservation:
         assert cs.permutation == (2, 0, 1)
         # gamma support is a contiguous trailing block
         assert cs.gammas == ((0, 1, 1),)
-        assert cs.relation_slices == ((0, 2),)
 
     def test_reorder_oscillator_is_identity(self, oscillator_text):
         net = parse_network(oscillator_text)
@@ -350,7 +349,6 @@ class TestConservedStates:
             d_u=0,
             d_c=n,
             permutation=tuple(range(n)),
-            relation_slices=((0, n),),
         )
         cs = enumerate_conserved_states(cs, (1,))
         assert cs.n_c == n
@@ -362,20 +360,18 @@ def random_relations(rng):
     weights 1-5, after one unconserved species."""
     sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
     d_c = sum(sizes)
-    gammas, slices, start = [], [], 0
+    gammas, start = [], 0
     for size in sizes:
         gamma = [0] * (1 + d_c)
         for c in range(start, start + size):
             gamma[1 + c] = rng.randint(1, 5)
         gammas.append(tuple(gamma))
-        slices.append((start, start + size))
         start += size
     return ConservedStructure(
         gammas=tuple(gammas),
         d_u=1,
         d_c=d_c,
         permutation=tuple(range(1 + d_c)),
-        relation_slices=tuple(slices),
     )
 
 
@@ -401,10 +397,7 @@ class TestArrayEnumeration:
         checked = 0
         while checked < 400:
             cs = random_relations(rng)
-            weights = [
-                g[cs.d_u + start : cs.d_u + end]
-                for g, (start, end) in zip(cs.gammas, cs.relation_slices)
-            ]
+            weights = [[v for v in g if v] for g in cs.gammas]
             totals = tuple(random_total(rng, w) for w in weights)
             # at most comb(t + n - 1, n - 1) solutions over n species
             bound = math.prod(
