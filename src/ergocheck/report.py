@@ -74,8 +74,11 @@ def analyze(
 
     `witness` (sequence of rationals) switches the drift stage to
     verification of the supplied vector; a bad witness raises
-    WitnessRejected.
+    WitnessRejected.  An `oracle` other than "off", "ssa" or "cme" raises
+    ValueError before any stage runs.
     """
+    if oracle not in ("off", "ssa", "cme"):
+        raise ValueError(f"unknown oracle mode {oracle!r}")
     timings = {}
     report = functools.partial(
         ErgodicityReport,

@@ -12,7 +12,7 @@ from ergocheck import (
     render_report,
     verify,
 )
-from ergocheck.oracle import CME_STATES_HIGH_DIM
+from ergocheck.oracle import CME_STATES_HIGH_DIM, run_oracle
 from helpers import cascade_text
 
 
@@ -107,6 +107,26 @@ class TestOracleModes:
         report = analyze(pb_text, oracle="cme")
         assert report.verdict == "IRREDUCIBILITY_DISPROVEN"
         assert not report.oracle["interior_strongly_connected"]
+
+    @pytest.mark.parametrize(
+        "text, totals",
+        [
+            ("2*A -> 3*B ; 1\n0 -> X ; 1\nX -> 0 ; 1\n", (1,)),  # E_c is empty
+            ("3*A -> 0 ; 1\n0 -> A ; 1\n", None),  # order 3, unsupported
+            ("0 -> S ; 1\nS -> 0 ; 1\n", None),
+        ],
+    )
+    def test_unknown_mode_raises_before_any_stage(self, monkeypatch, text, totals):
+        report = analyze(text, totals=totals)
+        with pytest.raises(ValueError, match="unknown oracle mode 'bogus'"):
+            run_oracle("bogus", report.network, report.conserved, 0, 10**6)
+
+        def never_called(*args):
+            raise AssertionError("a stage ran before the mode was checked")
+
+        monkeypatch.setattr("ergocheck.report.parse_network", never_called)
+        with pytest.raises(ValueError, match="unknown oracle mode 'bogus'"):
+            analyze(text, totals=totals, oracle="bogus")
 
 
 class TestRendering:
