@@ -293,16 +293,23 @@ class TestVerify:
 
     def test_malformed_witness_json(self, runner, tmp_path):
         p = tmp_path / "w.json"
-        p.write_text("{not json")
-        result = run(
-            runner,
-            "verify",
-            str(DATA / "oscillator.crn"),
-            str(p),
-            "--conserved-totals",
-            "1,1",
-        )
-        assert result.exit_code == 3
+        for payload, message in [
+            ("{not json", "cannot read witness file"),
+            ('{"w": [1]}', "witness JSON must be a list"),  # neither form
+            ('["1/0"]', "bad witness entry"),
+        ]:
+            p.write_text(payload)
+            result = run(
+                runner,
+                "verify",
+                str(DATA / "oscillator.crn"),
+                str(p),
+                "--conserved-totals",
+                "1,1",
+            )
+            assert result.exit_code == 3
+            assert message in result.stderr
+            assert result.stdout == ""
 
     def test_analyze_witness_option_matches_verify(self, runner, tmp_path):
         w = self.witness_file(tmp_path, self.OSC_W)
@@ -398,6 +405,7 @@ class TestUsageErrors:
             (("--format", "xml"), "Invalid value for '--format'"),
             (("--seed", "abc"), "Invalid value for '--seed'"),
             (("--oracle", "ssa", "--seed", "-1"), "Invalid value for '--seed'"),
+            (("--conserved-totals", "1,x"), "bad --conserved-totals value '1,x'"),
         ],
     )
     def test_bad_option_value(self, runner, monkeypatch, args, message):

@@ -97,12 +97,23 @@ class TestParsing:
             "-> B ; 1\n",
             "0*A -> B ; 1\n",
             "species: A B\nC -> A ; 1\n",
+            "A + -> B ; 1\n",
+            "x*A -> B ; 1\n",
+            "A -> 1B ; 1\n",
+            "0 -> A ; 1\nspecies: A\n",
+            "species: 1A\n",
         ],
     )
     def test_malformed_lines_raise_with_location(self, text):
         with pytest.raises(ParseError) as exc:
             parse_network(text)
         assert "line" in str(exc.value)
+
+    def test_comment_only_text_has_no_reactions(self):
+        with pytest.raises(ParseError) as exc:
+            parse_network("# a comment\n\n")
+        assert str(exc.value) == "no reactions found"
+        assert exc.value.line is None
 
     def test_duplicate_species_header(self):
         with pytest.raises(DuplicateSpecies):
