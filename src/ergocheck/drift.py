@@ -20,8 +20,7 @@ from .lfp import LfpProblem, solve_lfp, witness_satisfies, witness_violation
 class ReactionClassification:
     """Partition of reactions by what they contribute to the drift bound.
 
-    Indices are 0-based.  A unary reaction's reactant is the species whose
-    count in its reactants is 1.
+    Indices are 0-based.
     """
 
     unary_unconserved: tuple
